@@ -747,12 +747,16 @@ impl SessionState {
     }
 
     /// Rebuild a session from its checkpoint line: parse, validate the
-    /// content-addressed key, then replay the journal. Every failure —
+    /// content-addressed key, then replay the journal once into a
+    /// session observed by `observer` (see [`replay`]). Every failure —
     /// malformed JSON, schema drift, key mismatch, a journal the
     /// engine rejects — is the typed [`SessionError::Corrupt`], so a
     /// damaged checkpoint quarantines one session instead of panicking
     /// the server.
-    pub fn from_checkpoint_line(line: &str) -> Result<(String, SessionState), SessionError> {
+    pub fn from_checkpoint_line(
+        line: &str,
+        observer: impl Observer + Send + 'static,
+    ) -> Result<(String, SessionState), SessionError> {
         let corrupt = |m: String| SessionError::Corrupt(m);
         let v = parse(line.trim_end()).map_err(|e| corrupt(format!("parse: {e}")))?;
         if v.get("event").and_then(Json::as_str) != Some("pbo-session") {
@@ -811,7 +815,7 @@ impl SessionState {
                 )));
             }
         }
-        let state = replay(cfg, &tells)?;
+        let state = replay(cfg, &tells, observer)?;
         Ok((id, state))
     }
 }
@@ -847,10 +851,18 @@ fn synth_report(values: &[f64], maximize: bool, sim_seconds: f64) -> BatchReport
 }
 
 /// Rebuild a session by replaying a journal of tells against a fresh
-/// engine. Any rejection along the way means the journal cannot have
-/// come from a healthy run of this config → [`SessionError::Corrupt`].
-pub fn replay(cfg: SessionConfig, tells: &[Vec<f64>]) -> Result<SessionState, SessionError> {
-    let mut state = SessionState::create(cfg)?;
+/// engine observed by `observer`, which sees the replayed events
+/// exactly as it would have seen the live run's — so a restored
+/// session's metrics are rebuilt by the same pass that validates it.
+/// Any rejection along the way means the journal cannot have come from
+/// a healthy run of this config → [`SessionError::Corrupt`]; events of
+/// the tells absorbed before the rejection have already been emitted.
+pub fn replay(
+    cfg: SessionConfig,
+    tells: &[Vec<f64>],
+    observer: impl Observer + Send + 'static,
+) -> Result<SessionState, SessionError> {
+    let mut state = SessionState::create_observed(cfg, observer)?;
     for (i, values) in tells.iter().enumerate() {
         state
             .tell(i, values)
@@ -862,6 +874,7 @@ pub fn replay(cfg: SessionConfig, tells: &[Vec<f64>]) -> Result<SessionState, Se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NullObserver;
     use pbo_problems::SyntheticFn;
 
     fn toy_cfg(algorithm: AlgorithmKind, cycles: usize, q: usize, seed: u64) -> SessionConfig {
@@ -960,7 +973,7 @@ mod tests {
             a.tell(ask.turn, &values).unwrap();
         }
         let line = a.to_checkpoint_line("s-1");
-        let (id, b) = SessionState::from_checkpoint_line(&line).unwrap();
+        let (id, b) = SessionState::from_checkpoint_line(&line, NullObserver).unwrap();
         assert_eq!(id, "s-1");
         assert_eq!(b.turn(), a.turn());
         let ra = drive_locally(a);
@@ -980,7 +993,7 @@ mod tests {
             &line.replace("\"schema\":2", "\"schema\":99"),
             &line.replace(&s.config().key(), "0000000000000000"),
         ] {
-            match SessionState::from_checkpoint_line(bad) {
+            match SessionState::from_checkpoint_line(bad, NullObserver) {
                 Err(SessionError::Corrupt(_)) => {}
                 Err(other) => panic!("expected Corrupt, got {other:?}"),
                 Ok(_) => panic!("expected Corrupt, got Ok"),
@@ -1009,7 +1022,7 @@ mod tests {
             line[..qs_start].replace("\"schema\":2", "\"schema\":1"),
             &line[qs_end..]
         );
-        let (id, b) = SessionState::from_checkpoint_line(&v1_line).unwrap();
+        let (id, b) = SessionState::from_checkpoint_line(&v1_line, NullObserver).unwrap();
         assert_eq!(id, "old");
         let ra = drive_locally(a);
         let rb = drive_locally(b);
@@ -1029,7 +1042,7 @@ mod tests {
         for bad in [line.replace(",\"qs\":[6]", ",\"qs\":[5]"),
                     line.replace(",\"qs\":[6]", ",\"qs\":[6,2]"),
                     line.replace(",\"qs\":[6]", ",\"qs\":[]")] {
-            match SessionState::from_checkpoint_line(&bad) {
+            match SessionState::from_checkpoint_line(&bad, NullObserver) {
                 Err(SessionError::Corrupt(m)) => assert!(m.contains("qs"), "{m}"),
                 Err(other) => panic!("expected Corrupt, got {other:?}"),
                 Ok(_) => panic!("expected Corrupt, got Ok"),

@@ -2,10 +2,10 @@
 //! ask/tell optimization sessions. See `pbo-server help`.
 
 use pbo_core::json::Json;
-use pbo_core::session::SessionState;
+use pbo_core::observe::NullObserver;
 use pbo_server::cli::{self, Cmd, DriveOpts, GcOpts, ServeOpts, StatusOpts};
 use pbo_server::client::{drive, Client};
-use pbo_server::registry::{GcPolicy, Registry};
+use pbo_server::registry::{restore_dir, GcPolicy, Registry};
 use pbo_server::server::Server;
 use std::sync::Arc;
 
@@ -145,22 +145,7 @@ fn gc(opts: GcOpts) -> Result<(), String> {
 fn validate(dir: &std::path::Path) -> Result<(), String> {
     let mut ok = 0usize;
     let mut corrupt = 0usize;
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".session.json"))
-        })
-        .collect();
-    entries.sort();
-    for path in entries {
-        let verdict = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|body| {
-                SessionState::from_checkpoint_line(&body).map_err(|e| e.to_string())
-            });
+    for (path, verdict) in restore_dir(dir, || NullObserver)? {
         match verdict {
             Ok((id, state)) => {
                 ok += 1;

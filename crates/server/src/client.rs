@@ -8,7 +8,7 @@ use crate::proto;
 use pbo_core::json::Json;
 use pbo_core::session::SessionConfig;
 use pbo_problems::Problem;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A protocol-level or transport-level client failure.
@@ -32,31 +32,29 @@ fn transport(message: impl Into<String>) -> RpcError {
     RpcError { code: "transport".into(), message: message.into() }
 }
 
-/// One connection to a running daemon.
+/// One connection to a running daemon. Replies are read through the
+/// buffer; requests are written to the socket beneath it.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    conn: BufReader<TcpStream>,
 }
 
 impl Client {
-    /// Connect to a daemon.
+    /// Connect to a daemon, with `TCP_NODELAY` set (see "Framing and
+    /// latency" in [`crate::server`]).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, RpcError> {
         let stream = TcpStream::connect(addr).map_err(|e| transport(format!("connect: {e}")))?;
-        let writer = stream.try_clone().map_err(|e| transport(format!("clone: {e}")))?;
-        Ok(Client { reader: BufReader::new(stream), writer })
+        stream.set_nodelay(true).map_err(|e| transport(format!("nodelay: {e}")))?;
+        Ok(Client { conn: BufReader::new(stream) })
     }
 
     /// Send one raw line, return the raw response — even `ok:false`
     /// ones (the fuzz tests inspect those directly).
     pub fn raw(&mut self, line: &str) -> Result<Json, RpcError> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
+        proto::write_line(self.conn.get_mut(), line)
             .map_err(|e| transport(format!("send: {e}")))?;
         let mut response = String::new();
         let n = self
-            .reader
+            .conn
             .read_line(&mut response)
             .map_err(|e| transport(format!("recv: {e}")))?;
         if n == 0 {
@@ -203,4 +201,16 @@ pub fn drive(
     }
     let record = client.record(id)?;
     Ok(DriveOutcome { tells, done: true, record: Some(record) })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connect_sets_nodelay() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.conn.get_ref().nodelay().unwrap());
+    }
 }

@@ -14,7 +14,7 @@
 //! `{"ok":false,"error":{"code":…,"message":…}}`. Error codes are
 //! stable API (tests pin them) and come from exactly two typed enums:
 //! [`RequestErrorKind`] for envelope/transport-level failures and
-//! [`SessionError`](pbo_core::session::SessionError) for
+//! [`SessionError`] for
 //! session-state-machine failures — one table in DESIGN.md documents
 //! both, and a conformance test asserts the table is exhaustive.
 //! Malformed input of any kind — bad JSON, wrong types, unknown ops —
@@ -25,6 +25,7 @@ use pbo_core::json::{push_f64_lossless, push_str_literal, Json};
 use pbo_core::session::{SessionConfig, SessionError};
 use std::fmt;
 use std::fmt::Write as _;
+use std::io;
 
 /// Native protocol version spoken by this crate's client.
 pub const PROTO_VERSION: u64 = 2;
@@ -342,6 +343,12 @@ pub fn encode_bare_op(op: &str) -> String {
     let mut out = head(op);
     out.push('}');
     out
+}
+
+/// Send one wire line — `line` plus its `'\n'` — in a single
+/// `write_all`; every request and reply is framed here.
+pub fn write_line(w: &mut impl io::Write, line: &str) -> io::Result<()> {
+    w.write_all(format!("{line}\n").as_bytes())
 }
 
 #[cfg(test)]

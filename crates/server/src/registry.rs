@@ -8,7 +8,9 @@
 //! a daemon killed at any instant restarts into exactly the set of
 //! states it acknowledged.
 //!
-//! A checkpoint file that fails to parse or replay is *quarantined*:
+//! Restore replays each journal once, rebuilding engine state and
+//! metrics in the same validating pass ([`restore_dir`]). A
+//! checkpoint file that fails to parse or replay is *quarantined*:
 //! the session id stays visible with a typed `session_corrupt` error
 //! and every other session loads normally. Nothing panics on bad disk
 //! state.
@@ -16,9 +18,10 @@
 use crate::proto::{validate_id, ErrorBody, RequestErrorKind};
 use pbo_core::checkpoint::atomic_write;
 use pbo_core::observe::metrics::{MetricsObserver, MetricsRegistry};
+use pbo_core::observe::Observer;
 use pbo_core::session::{AskReply, SessionConfig, SessionState, SessionStatus};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// One slot in the session table.
@@ -70,52 +73,26 @@ impl Registry {
     }
 
     /// Open (creating if needed) a persistent registry rooted at `dir`
-    /// and restore every `*.session.json` checkpoint found there.
-    /// Corrupt checkpoints are quarantined, never fatal.
+    /// and restore every checkpoint there with [`restore_dir`], each
+    /// journal replayed once into this registry's metrics. Corrupt
+    /// checkpoints are quarantined, never fatal.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Registry, String> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("cannot create session dir {}: {e}", dir.display()))?;
-        let reg = Registry {
-            dir: Some(dir.clone()),
-            sessions: Mutex::new(HashMap::new()),
-            metrics: Arc::new(MetricsRegistry::new()),
-        };
+        let reg = Registry { dir: Some(dir.clone()), ..Registry::in_memory() };
         let resumed = reg.metrics.counter("server.sessions.resumed");
         let quarantined = reg.metrics.counter("server.sessions.quarantined");
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .map_err(|e| format!("cannot read session dir {}: {e}", dir.display()))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.ends_with(".session.json"))
-            })
-            .collect();
-        entries.sort(); // deterministic restore order
-        for path in entries {
-            let fallback_id = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_suffix(".session.json"))
-                .unwrap_or("unknown")
-                .to_string();
-            let entry = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))
-                .and_then(|body| {
-                    SessionState::from_checkpoint_line(&body).map_err(|e| e.to_string())
-                });
-            let (id, entry) = match entry {
+        for (path, restored) in restore_dir(&dir, || MetricsObserver::new(reg.metrics.clone()))? {
+            let (id, entry) = match restored {
                 Ok((id, state)) => {
-                    // Metrics observers do not survive serialization;
-                    // rebuild by replaying into a fresh one.
-                    let state = reobserve(&state, &reg.metrics).unwrap_or(state);
                     resumed.inc();
                     (id, SessionEntry::Live(Box::new(state)))
                 }
                 Err(reason) => {
                     quarantined.inc();
-                    (fallback_id, SessionEntry::Corrupt { reason })
+                    let stem = checkpoint_name(&path).and_then(|n| n.strip_suffix(SUFFIX));
+                    (stem.unwrap_or("unknown").to_string(), SessionEntry::Corrupt { reason })
                 }
             };
             reg.sessions
@@ -143,7 +120,7 @@ impl Registry {
     }
 
     fn checkpoint_path(&self, id: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{id}.session.json")))
+        self.dir.as_ref().map(|d| d.join(format!("{id}{SUFFIX}")))
     }
 
     fn persist(&self, id: &str, state: &SessionState) -> Result<(), ErrorBody> {
@@ -152,6 +129,12 @@ impl Registry {
         body.push('\n');
         atomic_write(&path, &body)
             .map_err(|e| ErrorBody::request(RequestErrorKind::Io, format!("persist failed: {e}")))
+    }
+
+    /// Every `(id, entry)`, copied out from under the table lock.
+    fn entries(&self) -> Vec<(String, Arc<Mutex<SessionEntry>>)> {
+        let table = self.sessions.lock().expect("session table poisoned");
+        table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     fn entry(&self, id: &str) -> Result<Arc<Mutex<SessionEntry>>, ErrorBody> {
@@ -171,10 +154,7 @@ impl Registry {
         let mut guard = entry.lock().expect("session entry poisoned");
         match &mut *guard {
             SessionEntry::Live(state) => f(state),
-            SessionEntry::Corrupt { reason } => Err(ErrorBody::new(
-                "session_corrupt",
-                format!("session '{id}' is quarantined: {reason}"),
-            )),
+            SessionEntry::Corrupt { reason } => Err(quarantine_error(id, reason)),
         }
     }
 
@@ -204,10 +184,7 @@ impl Registry {
                         ))
                     }
                 }
-                SessionEntry::Corrupt { reason } => Err(ErrorBody::new(
-                    "session_corrupt",
-                    format!("session '{id}' is quarantined: {reason}"),
-                )),
+                SessionEntry::Corrupt { reason } => Err(quarantine_error(id, reason)),
             };
         }
         let observer = MetricsObserver::new(self.metrics.clone());
@@ -259,10 +236,7 @@ impl Registry {
 
     /// `(id, phase, turn)` for every session, sorted by id.
     pub fn list(&self) -> Vec<(String, String, usize)> {
-        let entries: Vec<(String, Arc<Mutex<SessionEntry>>)> = {
-            let table = self.sessions.lock().expect("session table poisoned");
-            table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
+        let entries = self.entries();
         let mut out: Vec<(String, String, usize)> = entries
             .into_iter()
             .map(|(id, entry)| {
@@ -298,10 +272,7 @@ impl Registry {
     /// [`GcReport::quarantined_kept`] instead.
     pub fn gc(&self, policy: &GcPolicy) -> GcReport {
         let mut report = GcReport::default();
-        let entries: Vec<(String, Arc<Mutex<SessionEntry>>)> = {
-            let table = self.sessions.lock().expect("session table poisoned");
-            table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
+        let entries = self.entries();
         // (age_secs, id) for every finished session; corrupt and
         // in-flight entries are counted but never considered.
         let now = std::time::SystemTime::now();
@@ -350,6 +321,48 @@ impl Registry {
     }
 }
 
+/// The typed answer of a quarantined session.
+fn quarantine_error(id: &str, reason: &str) -> ErrorBody {
+    ErrorBody::new("session_corrupt", format!("session '{id}' is quarantined: {reason}"))
+}
+
+/// File-name suffix of a session checkpoint: `<id>.session.json`.
+const SUFFIX: &str = ".session.json";
+
+fn checkpoint_name(path: &Path) -> Option<&str> {
+    path.file_name().and_then(|n| n.to_str()).filter(|n| n.ends_with(SUFFIX))
+}
+
+/// One checkpoint's restore outcome: `(id, state)`, or why it failed.
+pub type Restored = Result<(String, SessionState), String>;
+
+/// Restore every session checkpoint in `dir` in file-name order — the
+/// one restore path ([`Registry::open`], `pbo-server validate`). Each
+/// journal is replayed once into a session observed by `observer()`.
+/// Only an unreadable `dir` is an error.
+pub fn restore_dir<O: Observer + Send + 'static>(
+    dir: &Path,
+    mut observer: impl FnMut() -> O,
+) -> Result<Vec<(PathBuf, Restored)>, String> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read session dir {}: {e}", dir.display()))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| checkpoint_name(p).is_some())
+        .collect();
+    paths.sort(); // deterministic restore order
+    Ok(paths
+        .into_iter()
+        .map(|path| {
+            let restored = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))
+                .and_then(|body| {
+                    SessionState::from_checkpoint_line(&body, observer()).map_err(|e| e.to_string())
+                });
+            (path, restored)
+        })
+        .collect())
+}
+
 /// Eviction policy for [`Registry::gc`]. A finished session survives if
 /// it is among the `keep_newest` most recent checkpoints *or* its
 /// checkpoint is at most `max_age_secs` old; everything else finished
@@ -375,28 +388,15 @@ pub struct GcReport {
     pub quarantined_kept: usize,
 }
 
-/// Re-attach a metrics observer to a restored session by replaying its
-/// journal into a fresh observed session. Returns `None` when the
-/// replay unexpectedly fails (the caller keeps the plain state).
-fn reobserve(state: &SessionState, metrics: &Arc<MetricsRegistry>) -> Option<SessionState> {
-    let cfg = state.config().clone();
-    let observer = MetricsObserver::new(metrics.clone());
-    let mut fresh = SessionState::create_observed(cfg, observer).ok()?;
-    for (i, values) in state.journal().iter().enumerate() {
-        fresh.tell(i, values).ok()?;
-    }
-    Some(fresh)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pbo_core::algorithms::AlgorithmKind;
     use pbo_core::budget::Budget;
     use pbo_core::session::{ProblemSpec, SessionProfile};
     use pbo_problems::{Problem, SyntheticFn};
 
-    fn cfg(seed: u64) -> SessionConfig {
+    pub(crate) fn cfg(seed: u64) -> SessionConfig {
         let p = SyntheticFn::ackley(2);
         SessionConfig {
             algorithm: AlgorithmKind::RandomSearch,
@@ -425,53 +425,72 @@ mod tests {
         assert_eq!(err.code, "config_mismatch");
     }
 
-    #[test]
-    fn full_drive_through_registry_and_restart_resume() {
-        let dir = tmp_dir("drive");
+    /// Answer session `id`'s next ask; true once the session is done.
+    fn tell_once(reg: &Registry, id: &str) -> bool {
         let p = SyntheticFn::ackley(2);
-        let finish = |reg: &Registry| {
-            loop {
-                let ask = reg.ask("s").unwrap();
-                let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
-                if reg.tell("s", ask.turn, &values).unwrap().done {
-                    break;
-                }
-            }
-            reg.record_line("s").unwrap()
-        };
-
-        // Uninterrupted run.
-        let reg = Registry::open(&dir).unwrap();
-        reg.create("s", cfg(5)).unwrap();
-        let uninterrupted = finish(&reg);
-
-        // Same config, killed after the first tell, reopened.
-        let dir2 = tmp_dir("drive2");
-        let reg = Registry::open(&dir2).unwrap();
-        reg.create("s", cfg(5)).unwrap();
-        let ask = reg.ask("s").unwrap();
+        let ask = reg.ask(id).unwrap();
         let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
-        reg.tell("s", ask.turn, &values).unwrap();
-        drop(reg); // "kill"
-        let reg = Registry::open(&dir2).unwrap();
-        assert_eq!(reg.len(), 1);
-        let resumed = finish(&reg);
-
-        assert_eq!(uninterrupted, resumed, "resume must be bit-identical");
-        let _ = std::fs::remove_dir_all(dir);
-        let _ = std::fs::remove_dir_all(dir2);
+        reg.tell(id, ask.turn, &values).unwrap().done
     }
 
     /// Drive session `id` to completion through ask/tell.
     fn finish(reg: &Registry, id: &str) {
-        let p = SyntheticFn::ackley(2);
-        loop {
-            let ask = reg.ask(id).unwrap();
-            let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
-            if reg.tell(id, ask.turn, &values).unwrap().done {
-                break;
-            }
+        while !tell_once(reg, id) {}
+    }
+
+    /// Registries driving `cfg` as session "s" to the end: one
+    /// uninterrupted, one killed after `k` tells and reopened.
+    fn uninterrupted_and_resumed(tag: &str, cfg: SessionConfig, k: usize) -> [Registry; 2] {
+        let (dir_a, dir_b) = (tmp_dir(&format!("{tag}_a")), tmp_dir(&format!("{tag}_b")));
+        let uninterrupted = Registry::open(&dir_a).unwrap();
+        uninterrupted.create("s", cfg.clone()).unwrap();
+        finish(&uninterrupted, "s");
+        let reg = Registry::open(&dir_b).unwrap();
+        reg.create("s", cfg).unwrap();
+        for _ in 0..k {
+            tell_once(&reg, "s");
         }
+        drop(reg); // "kill"
+        let resumed = Registry::open(&dir_b).unwrap();
+        assert_eq!(resumed.len(), 1);
+        finish(&resumed, "s");
+        let _ = std::fs::remove_dir_all(dir_a);
+        let _ = std::fs::remove_dir_all(dir_b);
+        [uninterrupted, resumed]
+    }
+
+    #[test]
+    fn full_drive_through_registry_and_restart_resume() {
+        let [uninterrupted, resumed] = uninterrupted_and_resumed("drive", cfg(5), 1);
+        assert_eq!(
+            uninterrupted.record_line("s").unwrap(),
+            resumed.record_line("s").unwrap(),
+            "resume must be bit-identical"
+        );
+    }
+
+    /// Restore replays each journal once, with the metrics observer
+    /// attached: a registry reopened mid-run and driven to the end
+    /// holds exactly the engine-event counters and histograms of an
+    /// uninterrupted one — none lost, none counted twice.
+    #[test]
+    fn restore_rebuilds_engine_metrics_exactly_once() {
+        let cfg = SessionConfig {
+            algorithm: AlgorithmKind::KbQEgo,
+            budget: Budget::cycles(4, 2).with_initial_samples(4),
+            ..cfg(21)
+        };
+        let engine_metrics = |reg: &Registry| {
+            let snap = reg.metrics().snapshot();
+            let mut counters = snap.counters;
+            counters.retain(|(name, _)| !name.starts_with("server."));
+            (counters, snap.histograms)
+        };
+        let [uninterrupted, resumed] = uninterrupted_and_resumed("observe", cfg, 3);
+        let want = engine_metrics(&uninterrupted);
+        assert!(want.1.iter().any(|(name, count, ..)| name == "time.fit_virtual_s" && *count > 0));
+        assert_eq!(engine_metrics(&resumed), want);
+        assert_eq!(resumed.metrics().snapshot().counter("server.sessions.resumed"), 1);
     }
 
     #[test]
@@ -484,10 +503,7 @@ mod tests {
         finish(&reg, "done-a");
         finish(&reg, "done-b");
         // `inflight` gets one tell but stays mid-run.
-        let p = SyntheticFn::ackley(2);
-        let ask = reg.ask("inflight").unwrap();
-        let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
-        reg.tell("inflight", ask.turn, &values).unwrap();
+        assert!(!tell_once(&reg, "inflight"));
 
         // Keep the newest finished session; evict the other.
         let report = reg.gc(&GcPolicy { max_age_secs: None, keep_newest: 1 });
@@ -521,6 +537,12 @@ mod tests {
         std::fs::write(&bad, "{\"event\":\"pbo-session\",trunc").unwrap();
         let reg = Registry::open(&dir).unwrap();
         assert_eq!(reg.len(), 2);
+        // Quarantine is not fatal: the sibling restored and is counted
+        // apart from the corrupt one.
+        assert_eq!(reg.status("finished").unwrap().0.phase, "done");
+        let snap = reg.metrics().snapshot();
+        assert_eq!(snap.counter("server.sessions.quarantined"), 1);
+        assert_eq!(snap.counter("server.sessions.resumed"), 1);
         let report = reg.gc(&GcPolicy { max_age_secs: None, keep_newest: 0 });
         // The finished session goes; the quarantined one is kept AND
         // reported, never dropped silently.
@@ -528,24 +550,6 @@ mod tests {
         assert_eq!(report.quarantined_kept, 1);
         assert!(bad.exists(), "quarantined checkpoint was deleted");
         assert_eq!(reg.ask("bad").unwrap_err().code, "session_corrupt");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn corrupt_checkpoint_is_quarantined_not_fatal() {
-        let dir = tmp_dir("corrupt");
-        let reg = Registry::open(&dir).unwrap();
-        reg.create("good", cfg(1)).unwrap();
-        drop(reg);
-        std::fs::write(dir.join("bad.session.json"), "{\"event\":\"pbo-session\",trunc").unwrap();
-        let reg = Registry::open(&dir).unwrap();
-        assert_eq!(reg.len(), 2);
-        // The bad one answers with a typed error…
-        let err = reg.ask("bad").unwrap_err();
-        assert_eq!(err.code, "session_corrupt");
-        // …and the good one still works.
-        assert!(reg.ask("good").is_ok());
-        assert_eq!(reg.metrics().snapshot().counter("server.sessions.quarantined"), 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

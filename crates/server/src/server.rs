@@ -28,8 +28,18 @@
 //!   answered a typed `line_too_long` error; the oversized line is
 //!   discarded as it streams in (bounded memory) and the connection
 //!   stays usable.
-//! - **Slow reader**: reply writes carry a write timeout; a peer that
-//!   stops reading is disconnected instead of pinning a worker.
+//! - **Slow reader**: every accepted socket carries a write timeout
+//!   (`idle_timeout`, set once at accept); a peer that stops reading
+//!   is disconnected instead of pinning a worker.
+//!
+//! ## Framing and latency
+//!
+//! Every wire line (request, reply, refusal, typed error) is one
+//! `write_all` of `line + '\n'` ([`crate::proto::write_line`]), and
+//! both ends set `TCP_NODELAY`. Why: Nagle's algorithm holds a small
+//! segment while earlier data is unacknowledged, and the peer, waiting
+//! for the rest of the line, delays its ACK by up to ~40 ms — a stall
+//! on every request and reply sent as two writes.
 //!
 //! Scheduling can never perturb a session trajectory: every session
 //! transition runs under that session's own lock in the registry and
@@ -37,13 +47,13 @@
 //! in what order relative to *other* sessions' requests, is invisible
 //! to the state machine (the conformance soak pins this).
 
-use crate::proto::{parse_request, ErrorBody, Request, RequestErrorKind};
+use crate::proto::{parse_request, write_line, ErrorBody, Request, RequestErrorKind};
 use crate::registry::Registry;
 use pbo_core::json::{push_f64_lossless, push_str_literal};
 use pbo_core::observe::metrics::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -184,7 +194,11 @@ impl Server {
                 reject_busy(stream, self.config.max_conns);
                 continue;
             }
-            if stream.set_nonblocking(true).is_err() {
+            let setup = stream
+                .set_nodelay(true)
+                .and_then(|()| stream.set_write_timeout(Some(self.config.idle_timeout)))
+                .and_then(|()| stream.set_nonblocking(true));
+            if setup.is_err() {
                 continue;
             }
             pool.live.fetch_add(1, Ordering::SeqCst);
@@ -227,10 +241,9 @@ fn reject_busy(mut stream: TcpStream, max_conns: usize) {
         RequestErrorKind::ServerBusy,
         format!("connection limit ({max_conns}) reached; retry shortly"),
     );
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut line = body.to_line();
-    line.push('\n');
-    let _ = stream.write_all(line.as_bytes());
+    let _ = write_line(&mut stream, &body.to_line());
 }
 
 /// One live connection, rotated through the worker queue. `buf` holds
@@ -379,7 +392,7 @@ fn worker_loop(pool: &Pool) {
 /// Serve one worker visit on `conn`: answer every complete line already
 /// received (plus whatever arrives while reading), within the fairness
 /// budgets. Never blocks on reads — the socket is non-blocking; reply
-/// writes carry a timeout.
+/// writes carry the timeout set at accept.
 fn serve_visit(pool: &Pool, conn: &mut Conn, draining: bool) -> Visit {
     let mut productive = false;
     let mut lines = 0usize;
@@ -401,12 +414,7 @@ fn serve_visit(pool: &Pool, conn: &mut Conn, draining: bool) -> Visit {
             // it arrives (newline included) within one read burst, so
             // the cap is also enforced per complete line.
             if line.len() - 1 > pool.cfg.max_line_bytes {
-                pool.oversize.inc();
-                let e = ErrorBody::request(
-                    RequestErrorKind::LineTooLong,
-                    format!("request line exceeds {} bytes", pool.cfg.max_line_bytes),
-                );
-                if write_reply(pool, conn, &e.to_line()).is_err() {
+                if reject_line_too_long(pool, conn).is_err() {
                     return Visit::Close;
                 }
                 continue;
@@ -437,12 +445,7 @@ fn serve_visit(pool: &Pool, conn: &mut Conn, draining: bool) -> Visit {
             conn.buf.clear();
             conn.scanned = 0;
         } else if conn.buf.len() > pool.cfg.max_line_bytes {
-            pool.oversize.inc();
-            let e = ErrorBody::request(
-                RequestErrorKind::LineTooLong,
-                format!("request line exceeds {} bytes", pool.cfg.max_line_bytes),
-            );
-            if write_reply(pool, conn, &e.to_line()).is_err() {
+            if reject_line_too_long(pool, conn).is_err() {
                 return Visit::Close;
             }
             conn.discard = true;
@@ -481,16 +484,23 @@ fn serve_visit(pool: &Pool, conn: &mut Conn, draining: bool) -> Visit {
     }
 }
 
-/// Write one reply line with a bounded write timeout, so a peer that
-/// stops reading cannot pin a worker. Restores non-blocking mode.
+/// Count and answer an over-cap request line.
+fn reject_line_too_long(pool: &Pool, conn: &mut Conn) -> std::io::Result<()> {
+    pool.oversize.inc();
+    let limit = pool.cfg.max_line_bytes;
+    let e = ErrorBody::request(
+        RequestErrorKind::LineTooLong,
+        format!("request line exceeds {limit} bytes"),
+    );
+    write_reply(pool, conn, &e.to_line())
+}
+
+/// Write one reply line in blocking mode, bounded by the write timeout
+/// set at accept, so a peer that stops reading cannot pin a worker.
+/// Restores non-blocking mode.
 fn write_reply(pool: &Pool, conn: &mut Conn, response: &str) -> std::io::Result<()> {
     conn.stream.set_nonblocking(false)?;
-    conn.stream.set_write_timeout(Some(pool.cfg.idle_timeout))?;
-    let result = conn
-        .stream
-        .write_all(response.as_bytes())
-        .and_then(|()| conn.stream.write_all(b"\n"))
-        .and_then(|()| conn.stream.flush());
+    let result = write_line(&mut conn.stream, response);
     if let Err(e) = &result {
         if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
             pool.write_timeouts.inc();
@@ -687,7 +697,9 @@ fn needs_proto_2(what: &str) -> ErrorBody {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::tests::cfg;
     use pbo_core::json::{parse, Json};
+    use pbo_core::session::SessionConfig;
 
     #[test]
     fn dispatch_survives_garbage_without_touching_sessions() {
@@ -745,16 +757,7 @@ mod tests {
 
     fn variable_q_create_body(id: &str) -> String {
         use pbo_core::algorithms::AlgorithmKind;
-        use pbo_core::budget::Budget;
-        use pbo_core::session::{ProblemSpec, SessionConfig, SessionProfile};
-        use pbo_problems::SyntheticFn;
-        let cfg = SessionConfig {
-            algorithm: AlgorithmKind::HybridQ,
-            problem: ProblemSpec::of(&SyntheticFn::ackley(2)),
-            budget: Budget::cycles(2, 2).with_initial_samples(4),
-            profile: SessionProfile::Test,
-            seed: 7,
-        };
+        let cfg = SessionConfig { algorithm: AlgorithmKind::HybridQ, ..cfg(7) };
         let mut out = String::new();
         cfg.encode_json(&mut out);
         format!("\"id\":\"{id}\",\"config\":{out}}}")
@@ -789,18 +792,9 @@ mod tests {
 
     #[test]
     fn ask_reply_carries_q_only_on_proto_2() {
-        use pbo_core::algorithms::AlgorithmKind;
         use pbo_core::budget::Budget;
-        use pbo_core::session::{ProblemSpec, SessionConfig, SessionProfile};
-        use pbo_problems::SyntheticFn;
         let reg = Registry::in_memory();
-        let cfg = SessionConfig {
-            algorithm: AlgorithmKind::RandomSearch,
-            problem: ProblemSpec::of(&SyntheticFn::ackley(2)),
-            budget: Budget::cycles(2, 3).with_initial_samples(4),
-            profile: SessionProfile::Test,
-            seed: 1,
-        };
+        let cfg = SessionConfig { budget: Budget::cycles(2, 3).with_initial_samples(4), ..cfg(1) };
         reg.create("s", cfg).unwrap();
         let (v1, _) = dispatch(&reg, "{\"proto\":1,\"op\":\"ask\",\"id\":\"s\"}");
         assert!(v1.contains("\"ok\":true") && !v1.contains("\"q\":"), "{v1}");

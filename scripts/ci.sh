@@ -17,8 +17,8 @@ if [[ "${1:-}" != "--quick" ]]; then
   cargo build --release
 fi
 
-echo "== cargo test -q (workspace, warnings are errors) =="
-cargo test -q
+echo "== cargo test --workspace -q (warnings are errors) =="
+cargo test --workspace -q
 
 echo "== cargo clippy (workspace, -D warnings -W clippy::perf) =="
 cargo clippy --workspace -- -D warnings -W clippy::perf

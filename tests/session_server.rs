@@ -577,9 +577,7 @@ fn raw_conn(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
 }
 
 fn send_line(stream: &mut TcpStream, line: &str) {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
+    proto::write_line(stream, line).unwrap();
 }
 
 fn read_line(reader: &mut BufReader<TcpStream>) -> String {
@@ -853,4 +851,109 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
     // The drain closed the parked silent connection too.
     let mut rest = String::new();
     assert_eq!(idle_reader.read_to_string(&mut rest).unwrap(), 0, "drain must close idle conns");
+}
+
+/// Latency regression — a served round trip costs its work, not a
+/// transport stall. A line split across two writes waits ~40 ms per
+/// write pair on Nagle plus delayed ACK, so 100 round trips would take
+/// at least 4 s; one write per line and `TCP_NODELAY` on both ends
+/// keep them well under 2 s.
+#[test]
+fn hundred_status_round_trips_do_not_stall() {
+    let server = Server::bind(Arc::new(Registry::in_memory()), "127.0.0.1:0").unwrap();
+    let handle = server.spawn();
+    let mut client = Client::connect(handle.addr).unwrap();
+    let start = std::time::Instant::now();
+    for _ in 0..100 {
+        client.server_status().unwrap();
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "100 round trips took {elapsed:?}");
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// Framing — the server reassembles a request that arrives in two
+/// pieces and answers it exactly once: the next reply on the
+/// connection belongs to the next request.
+#[test]
+fn request_split_across_two_writes_gets_exactly_one_reply() {
+    let server = Server::bind(Arc::new(Registry::in_memory()), "127.0.0.1:0").unwrap();
+    let handle = server.spawn();
+    let (mut reader, mut stream) = raw_conn(handle.addr);
+    let line = proto::encode_bare_op("server-status");
+    let (head, tail) = line.split_at(line.len() / 2);
+    stream.write_all(head.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    stream.write_all(format!("{tail}\n").as_bytes()).unwrap();
+    let reply = read_line(&mut reader);
+    assert!(reply.contains("\"protos\":"), "split request misanswered: {reply}");
+    send_line(&mut stream, &proto::encode_bare_op("list"));
+    let reply = read_line(&mut reader);
+    assert!(reply.contains("\"sessions\":["), "expected the list reply next: {reply}");
+    Client::connect(handle.addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// Framing — two requests pipelined in one write get two replies, in
+/// request order.
+#[test]
+fn two_requests_in_one_write_get_two_replies_in_order() {
+    let server = Server::bind(Arc::new(Registry::in_memory()), "127.0.0.1:0").unwrap();
+    let handle = server.spawn();
+    let (mut reader, mut stream) = raw_conn(handle.addr);
+    let both =
+        format!("{}\n{}\n", proto::encode_bare_op("server-status"), proto::encode_bare_op("list"));
+    stream.write_all(both.as_bytes()).unwrap();
+    let first = read_line(&mut reader);
+    assert!(first.contains("\"protos\":"), "first reply must answer server-status: {first}");
+    let second = read_line(&mut reader);
+    assert!(second.contains("\"sessions\":["), "second reply must answer list: {second}");
+    Client::connect(handle.addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// Slow-reader containment — the write timeout set at accept still
+/// bounds every reply write: a peer that pipelines requests but never
+/// reads its replies is disconnected and counted once the socket
+/// buffers fill, and the pool keeps serving everyone else.
+#[test]
+fn non_reading_peer_is_disconnected_by_the_write_timeout() {
+    let config = ServerConfig {
+        workers: 2,
+        idle_timeout: Duration::from_millis(500),
+        ..ServerConfig::default()
+    };
+    let server =
+        Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
+    let handle = server.spawn();
+    let mut client = Client::connect(handle.addr).unwrap();
+    // A 64-point 12-d design: every ask reply is ~15 KB.
+    let p = SyntheticFn::ackley(12);
+    let cfg = SessionConfig {
+        algorithm: AlgorithmKind::RandomSearch,
+        problem: ProblemSpec::of(&p),
+        budget: Budget::cycles(1, 2).with_initial_samples(64),
+        profile: SessionProfile::Test,
+        seed: 5,
+    };
+    client.create("wide", &cfg).unwrap();
+
+    // ~15 MB of replies requested, none read: far past what loopback
+    // socket buffers hold.
+    let (_reader, mut offender) = raw_conn(handle.addr);
+    let ask = format!("{}\n", proto::encode_ask("wide"));
+    offender.write_all(ask.repeat(1000).as_bytes()).unwrap();
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let status = client.server_status().unwrap();
+        if counter(&status, "server.conns.write_timeout") == 1 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "slow reader never timed out: {status:?}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    client.shutdown().unwrap();
+    handle.join().unwrap();
 }
