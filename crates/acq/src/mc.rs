@@ -352,6 +352,11 @@ pub fn optimize_qei(
         hi.extend_from_slice(bounds.hi());
     }
     let flat_bounds = Bounds::new(lo, hi);
+    // Work per value and gradient: the q cross-kernel rows and their
+    // triangular solves, twice (≈ 2qn(n + d)), and the Monte-Carlo
+    // samples with their pullback (≈ 2·samples·q²).
+    let n = gp.n();
+    let eval_work = 2 * q * n * (n + d) + 2 * qei.base.rows() * q * q;
     let obj = FnGradObjective::new(
         q * d,
         |x: &[f64]| -qei.value_flat(gp, x),
@@ -359,7 +364,8 @@ pub fn optimize_qei(
             let (v, g) = qei.value_grad_flat(gp, x);
             (-v, g.into_iter().map(|gi| -gi).collect())
         },
-    );
+    )
+    .with_eval_work(eval_work);
     let warm_flat: Vec<Vec<f64>> = warm_starts
         .iter()
         .map(|batch| batch.iter().flat_map(|p| p.iter().copied()).collect())

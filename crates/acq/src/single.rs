@@ -271,6 +271,10 @@ impl GradObjective for NegAcq<'_> {
 }
 
 impl BatchObjective for NegAcq<'_> {
+    fn eval_work(&self) -> usize {
+        eval_work(self.gp)
+    }
+
     fn value_batch(&self, xs: &[f64], out: &mut [f64]) {
         let d = self.gp.dim().max(1);
         debug_assert_eq!(xs.len(), out.len() * d);
@@ -286,6 +290,14 @@ impl BatchObjective for NegAcq<'_> {
             *o = -*o;
         }
     }
+}
+
+/// Flop-ish cost of one single-point acquisition value and gradient on
+/// `gp`: the cross-kernel row and its gradient (≈ 3nd) plus the two
+/// triangular solves of the variance and its gradient (≈ n²).
+pub fn eval_work(gp: &dyn Surrogate) -> usize {
+    let (n, d) = (gp.n(), gp.dim());
+    n * (n + 3 * d)
 }
 
 /// Maximize a single-point acquisition over `bounds` with multistart

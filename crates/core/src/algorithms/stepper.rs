@@ -25,8 +25,9 @@ use crate::partition::BspTree;
 use crate::record::RunRecord;
 use crate::trust_region::{TrustRegion, TrustRegionConfig};
 use pbo_acq::mc::{optimize_qei, QExpectedImprovement};
-use pbo_acq::single::{optimize_single, ExpectedImprovement};
+use pbo_acq::single::{self, optimize_single, ExpectedImprovement};
 use pbo_gp::Surrogate;
+use pbo_opt::multistart::multistart_work;
 use rand::Rng;
 
 /// Per-algorithm cycle stepper. Holds exactly the state that survives
@@ -196,17 +197,22 @@ impl BatchStepper {
                 let cells: Vec<pbo_opt::Bounds> =
                     leaves.iter().map(|&l| tree.bounds_of(l).clone()).collect();
 
-                // One local EI maximization per cell, run concurrently;
-                // the clock models q workers sharing the 2q
-                // sub-problems. The multistart inside each cell is
-                // itself parallel-capable, but workers spawned here are
-                // marked as inside a parallel region
-                // (`pbo_linalg::parallel`), so the nested fan-out
-                // degrades to the serial schedule instead of
-                // oversubscribing — and stays bit-identical to it by
-                // construction.
+                // One local EI maximization per cell, run concurrently
+                // when the cells' work passes the parallel gate and a
+                // core is free; the clock models q workers sharing the
+                // 2q sub-problems. The multistart inside each cell is
+                // itself parallel-capable, but every block of a fan-out
+                // runs inside a parallel region (`pbo_linalg::parallel`),
+                // so the nested fan-out degrades to the serial schedule
+                // instead of oversubscribing — and stays bit-identical
+                // to it by construction. Work: one whole multistart per
+                // cell.
+                let work = cells.len().saturating_mul(multistart_work(
+                    &acq_multistart(&cfg, acq_seed),
+                    single::eval_work(&gp),
+                ));
                 let results: Vec<(Vec<f64>, f64, usize)> = e.charge_acquisition(q, || {
-                    let per_cell = pbo_linalg::parallel::par_map(cells.len(), 1, |k| {
+                    let per_cell = pbo_linalg::parallel::par_map(cells.len(), work, |k| {
                         let ei = ExpectedImprovement { f_best };
                         let ms = acq_multistart(&cfg, acq_seed.wrapping_add(k as u64));
                         let r = optimize_single(&gp, &ei, &cells[k], &[], &ms);

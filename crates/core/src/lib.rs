@@ -56,3 +56,8 @@ pub mod record;
 pub mod session;
 pub mod stats;
 pub mod trust_region;
+
+/// The kernels' work gate and process-wide core budget
+/// (`pbo_linalg::parallel`), re-exported for the session server: its
+/// pool workers hold a core while they dispatch a request.
+pub use pbo_linalg::parallel;

@@ -539,10 +539,10 @@ pub(crate) fn banded_sq_colsums(v: &Matrix) -> Vec<f64> {
     }
     const PREDICT_BAND: usize = 128;
     let bands = n.div_ceil(PREDICT_BAND);
-    // Worker count only decides scheduling; band partials are folded in
-    // band order below either way.
-    let workers = if n * q < (1 << 21) { 1 } else { pbo_linalg::parallel::num_threads() };
-    let partials = pbo_linalg::parallel::par_map_workers(bands, workers.min(bands), |b| {
+    // Work: one multiply-add per entry. The worker count only decides
+    // scheduling; band partials are folded in band order below either way.
+    let fan = pbo_linalg::parallel::fan_out(n * q, bands);
+    let partials = pbo_linalg::parallel::par_map_workers(bands, fan.threads(), |b| {
         let lo = b * PREDICT_BAND;
         let hi = (lo + PREDICT_BAND).min(n);
         let mut acc = vec![0.0; q];

@@ -355,9 +355,12 @@ pub fn mll_and_grad_ws(
     // two at a time so each streamed `M` row `b` is charged against both —
     // halving the dominant memory traffic. Both are pure reassociations
     // worth ~eps relative error, far inside the 1e-10 equivalence budget.
+    // Work: the suffix dots sum to ≈ n³/6 and the pair accumulation to
+    // ≈ n²d/2, so below n ≈ 230 the contraction stays on one thread.
     let chunk = 64usize;
     let n_chunks = n.div_ceil(chunk).max(1);
-    let partials: Vec<Vec<f64>> = parallel::par_map(n_chunks, 1, |c| {
+    let work = n * n * n / 6 + n * n * d / 2;
+    let partials: Vec<Vec<f64>> = parallel::par_map(n_chunks, work, |c| {
         let mut g = vec![0.0; d];
         let mut accum = |a: usize, b: usize, kinv_ab: f64| {
             let w = alpha_ref[a] * alpha_ref[b] - kinv_ab;
@@ -467,6 +470,56 @@ mod tests {
             let v_only = mll_value_ws(family, &mut ws, &y_std, &params).unwrap();
             assert_eq!(v_only, v_ws, "{}", family.name());
         }
+    }
+
+    #[test]
+    fn mll_gradient_bits_do_not_depend_on_the_core_budget() {
+        use std::sync::{Arc, Barrier};
+        // n = 300 puts the gradient contraction above the parallel gate.
+        let (n, d) = (300, 4);
+        assert!(n * n * n / 6 >= parallel::PAR_THRESHOLD);
+        let (x, y) = training_data(n, d, 11);
+        let y_std = standardized(&y);
+        let params = vec![
+            (0.4f64).ln(),
+            (0.6f64).ln(),
+            (0.9f64).ln(),
+            (1.2f64).ln(),
+            0.0,
+            (1e-3f64).ln(),
+        ];
+        let mut ws = FitWorkspace::new();
+        ws.prepare(&x);
+        let free = mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
+
+        // Exhaust the budget: this thread and `cap - 1` parked threads
+        // hold every core, so the contraction runs on this thread alone.
+        let cap = parallel::num_threads();
+        let held = Arc::new(Barrier::new(cap));
+        let release = Arc::new(Barrier::new(cap));
+        let holders: Vec<_> = (1..cap)
+            .map(|_| {
+                let (held, release) = (held.clone(), release.clone());
+                std::thread::spawn(move || {
+                    let _core = parallel::claim_core();
+                    held.wait();
+                    release.wait();
+                })
+            })
+            .collect();
+        let core = parallel::claim_core();
+        held.wait();
+        assert!(parallel::claimed_cores() >= cap);
+        let exhausted = mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
+        drop(core);
+        release.wait();
+        for h in holders {
+            h.join().unwrap();
+        }
+
+        assert_eq!(free.0.to_bits(), exhausted.0.to_bits());
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&free.1), bits(&exhausted.1));
     }
 
     #[test]

@@ -1,39 +1,89 @@
-//! Scoped-thread helpers for the larger dense kernels.
+//! Scoped-thread fan-outs for the dense kernels, under one work gate and
+//! one process-wide core budget.
 //!
 //! The workspace deliberately avoids a global thread pool: the BO engine
 //! owns its own worker pool for simulator evaluations, and linear-algebra
 //! parallelism is short-lived fork/join over row blocks. Scoped threads
 //! give data-race-free borrowing of the output buffer without `Arc`.
+//!
+//! Every kernel fan-out passes a `work` estimate in flop-ish units (one
+//! multiply-add ≈ 1) to [`fan_out`], which grants helper threads only
+//! when both hold:
+//!
+//! 1. **The work pays for a thread.** Below [`PAR_THRESHOLD`] the
+//!    fan-out runs serially on the caller: a spawn plus join costs tens
+//!    of microseconds, and a fresh helper rebuilds its `thread_local!`
+//!    workspaces.
+//! 2. **A core is free.** One atomic count tracks the compute threads
+//!    holding a core, capped by [`num_threads`] — so [`set_num_threads`]
+//!    and `PBO_NUM_THREADS` cap the process, not each fan-out. A fan-out
+//!    counts its caller, reserves helpers only from the free cores and
+//!    releases them on return and on unwind. Long-lived compute threads
+//!    hold a core through [`claim_core`]: the server's pool workers do
+//!    while they dispatch, so two sessions stepping at once run their
+//!    kernels serially and a lone session still gets the idle core.
+//!
+//! The caller runs the first block and each helper one more. Inside a
+//! block [`num_threads`] is 1, so nested fan-outs stay serial. Helpers
+//! decide only *which thread* computes a row or index, never *what* it
+//! computes, and call sites fold fixed grids in grid order: results are
+//! bitwise identical whatever the budget grants.
+//!
+//! [`fan_out_stats`] counts each gated fan-out's outcome: `spawned`
+//! (got a helper), `serial_small` (work below the gate, or one item) or
+//! `serial_busy` (no core free: every core held, a cap of 1, or nested
+//! inside another fan-out).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Work (in flop-ish units) below which spawning threads costs more than
-/// it saves. Tuned conservatively; correctness does not depend on it.
-/// Crate-visible so other fan-out sites (the blocked Cholesky sweeps)
-/// gate on the same threshold.
-pub(crate) const PAR_THRESHOLD: usize = 1 << 21;
+/// it saves. The crate's only parallel cut-off: every fan-out gates on
+/// it through [`fan_out`]. Correctness does not depend on it.
+pub const PAR_THRESHOLD: usize = 1 << 21;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// Compute threads currently holding a core: claimed callers plus
+/// reserved helpers. It and the counters below use `Relaxed` ordering:
+/// they publish no other data (helpers borrow their inputs through
+/// `std::thread::scope`, which synchronizes on its own).
+static CLAIMED: AtomicUsize = AtomicUsize::new(0);
+
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+static SERIAL_SMALL: AtomicU64 = AtomicU64::new(0);
+static SERIAL_BUSY: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
-    /// Set for the lifetime of every scoped worker thread spawned by this
-    /// module. Workers report `num_threads() == 1`, so nested fan-outs
-    /// (e.g. a multistart polished inside BSP-EGO's per-cell `par_map`)
-    /// degrade to sequential execution instead of oversubscribing.
-    /// Workers are fresh threads per scope, so the flag needs no reset.
+    /// Set while a thread runs a block of a fan-out (the caller's block
+    /// or a helper's). Such threads report `num_threads() == 1`, so
+    /// nested fan-outs (e.g. a multistart polished inside BSP-EGO's
+    /// per-cell `par_map`) run serially instead of oversubscribing.
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread is counted in [`CLAIMED`] by a [`CoreClaim`].
+    static HOLDS_CORE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True when called from inside a scoped worker thread spawned by one of
-/// the fan-out helpers in this module.
+/// True when called from inside a block of a fan-out run by one of the
+/// helpers in this module.
 pub fn in_parallel_region() -> bool {
     IN_PARALLEL_REGION.with(Cell::get)
 }
 
-fn enter_parallel_region() {
-    IN_PARALLEL_REGION.with(|c| c.set(true));
+/// Marks the current thread as inside a fan-out until dropped, then
+/// restores the previous state (the caller's thread outlives its block).
+struct Region(bool);
+
+fn enter_region() -> Region {
+    Region(IN_PARALLEL_REGION.with(|c| c.replace(true)))
+}
+
+impl Drop for Region {
+    fn drop(&mut self) {
+        IN_PARALLEL_REGION.with(|c| c.set(self.0));
+    }
 }
 
 /// Override the number of worker threads used by the dense kernels
@@ -54,9 +104,10 @@ fn env_threads() -> usize {
     })
 }
 
-/// Number of threads the kernels will fan out to.
+/// The process's compute-thread cap: the most cores the budget hands
+/// out at once.
 ///
-/// Resolution order: nested-region guard (always 1 inside a worker),
+/// Resolution order: nested-region guard (always 1 inside a fan-out),
 /// then [`set_num_threads`], then the `PBO_NUM_THREADS` environment
 /// variable, then `std::thread::available_parallelism()`.
 pub fn num_threads() -> usize {
@@ -74,8 +125,138 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Compute threads currently holding a core (claims plus reserved
+/// helpers). 0 whenever no fan-out runs and no [`CoreClaim`] is held.
+pub fn claimed_cores() -> usize {
+    CLAIMED.load(Ordering::Relaxed)
+}
+
+/// A core held by the current thread until dropped. Not `Send`: the
+/// claim belongs to the thread that made it.
+pub struct CoreClaim {
+    counted: bool,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+/// Count the current thread as a compute thread holding a core, until
+/// the returned claim drops.
+///
+/// A thread already holding a claim, or running inside a fan-out (whose
+/// core is already counted), gets a claim that counts nothing. Claims
+/// always succeed: the caller runs whatever the budget says, and the
+/// count only decides how many *helpers* later fan-outs may add.
+pub fn claim_core() -> CoreClaim {
+    let counted = !in_parallel_region() && !HOLDS_CORE.with(|h| h.replace(true));
+    if counted {
+        CLAIMED.fetch_add(1, Ordering::Relaxed);
+    }
+    CoreClaim { counted, _thread_bound: PhantomData }
+}
+
+impl Drop for CoreClaim {
+    fn drop(&mut self) {
+        if self.counted {
+            CLAIMED.fetch_sub(1, Ordering::Relaxed);
+            HOLDS_CORE.with(|h| h.set(false));
+        }
+    }
+}
+
+/// One gated fan-out's reservation: the caller's core plus
+/// [`threads`](FanOut::threads)` - 1` helpers, released on drop.
+pub struct FanOut {
+    helpers: usize,
+    _caller: Option<CoreClaim>,
+}
+
+impl FanOut {
+    /// Threads the fan-out may run on, the caller included (≥ 1).
+    pub fn threads(&self) -> usize {
+        self.helpers + 1
+    }
+}
+
+impl Drop for FanOut {
+    fn drop(&mut self) {
+        if self.helpers > 0 {
+            CLAIMED.fetch_sub(self.helpers, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The work gate and the core budget, in one call: how many threads a
+/// fan-out of `items` independent items costing `work` flop-ish units
+/// in total may run on. Hold the returned [`FanOut`] until every helper
+/// has joined.
+///
+/// Serial (`threads() == 1`) when `work < PAR_THRESHOLD`, when there are
+/// fewer than two items, or when no core is free. Otherwise the caller
+/// is counted and up to `min(num_threads(), items) - 1` helpers are
+/// reserved from the free cores.
+pub fn fan_out(work: usize, items: usize) -> FanOut {
+    if work < PAR_THRESHOLD || items < 2 {
+        SERIAL_SMALL.fetch_add(1, Ordering::Relaxed);
+        return FanOut { helpers: 0, _caller: None };
+    }
+    let cap = num_threads();
+    let want = cap.min(items) - 1;
+    let caller = claim_core();
+    let reserve = |held: usize| want.min(cap.saturating_sub(held));
+    let helpers = CLAIMED
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+            (reserve(held) > 0).then(|| held + reserve(held))
+        })
+        .map_or(0, reserve);
+    let outcome = if helpers == 0 { &SERIAL_BUSY } else { &SPAWNED };
+    outcome.fetch_add(1, Ordering::Relaxed);
+    FanOut { helpers, _caller: Some(caller) }
+}
+
+/// Snapshot of the fan-out counters (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FanOutStats {
+    /// Fan-outs that spawned at least one helper.
+    pub spawned: u64,
+    /// Fan-outs kept serial because their work was below the gate.
+    pub serial_small: u64,
+    /// Fan-outs kept serial because no core was free.
+    pub serial_busy: u64,
+}
+
+/// Read the process-wide fan-out counters.
+pub fn fan_out_stats() -> FanOutStats {
+    FanOutStats {
+        spawned: SPAWNED.load(Ordering::Relaxed),
+        serial_small: SERIAL_SMALL.load(Ordering::Relaxed),
+        serial_busy: SERIAL_BUSY.load(Ordering::Relaxed),
+    }
+}
+
+/// Run `job` on every block: the first on the caller, each other one on
+/// a scoped helper, all inside the parallel region. A panic in any block
+/// propagates once every helper has joined.
+fn run_blocks<B, J>(blocks: impl IntoIterator<Item = B>, job: J)
+where
+    B: Send,
+    J: Fn(B) + Sync,
+{
+    let mut blocks = blocks.into_iter();
+    let Some(first) = blocks.next() else { return };
+    std::thread::scope(|s| {
+        let job = &job;
+        for block in blocks {
+            s.spawn(move || {
+                let _region = enter_region();
+                job(block);
+            });
+        }
+        let _region = enter_region();
+        job(first);
+    });
+}
+
 /// Apply `f(i, row)` to each `width`-sized row of `out`, splitting rows
-/// across scoped threads when `work` exceeds the parallel threshold.
+/// across the threads [`fan_out`] grants for `work`.
 ///
 /// `f` must be pure per row: rows are disjoint so no synchronisation is
 /// needed. This is the row-block pattern the Rayon docs describe, done
@@ -89,31 +270,24 @@ where
     }
     debug_assert_eq!(out.len() % width, 0);
     let rows = out.len() / width;
-    let threads = num_threads().min(rows);
-    if threads <= 1 || work < PAR_THRESHOLD {
+    let fan = fan_out(work, rows);
+    if fan.threads() == 1 {
         for (i, row) in out.chunks_mut(width).enumerate() {
             f(i, row);
         }
         return;
     }
-    let rows_per = rows.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (t, block) in out.chunks_mut(rows_per * width).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                enter_parallel_region();
-                let base = t * rows_per;
-                for (k, row) in block.chunks_mut(width).enumerate() {
-                    f(base + k, row);
-                }
-            });
+    let rows_per = rows.div_ceil(fan.threads());
+    run_blocks(out.chunks_mut(rows_per * width).enumerate(), |(t, block)| {
+        for (k, row) in block.chunks_mut(width).enumerate() {
+            f(t * rows_per + k, row);
         }
     });
 }
 
 /// Apply `f(i, row)` to each *variable-length* row of `out`, where row
-/// `i` owns `out[offsets[i]..offsets[i + 1]]`, splitting rows across
-/// scoped threads when `work` exceeds the parallel threshold.
+/// `i` owns `out[offsets[i]..offsets[i + 1]]`, splitting rows across the
+/// threads [`fan_out`] grants for `work`.
 ///
 /// This is the packed-triangular companion of
 /// [`for_each_row_chunk`]: pair-major buffers (one ragged row per
@@ -130,89 +304,83 @@ where
     }
     let rows = offsets.len() - 1;
     debug_assert_eq!(offsets[rows], out.len());
-    let threads = num_threads().min(rows);
-    if threads <= 1 || work < PAR_THRESHOLD {
-        let mut rest = out;
-        let mut consumed = offsets[0];
-        for i in 0..rows {
-            let (row, tail) = rest.split_at_mut(offsets[i + 1] - consumed);
-            consumed = offsets[i + 1];
-            f(i, row);
-            rest = tail;
+    let job = |(r0, r1, block): (usize, usize, &mut [f64])| {
+        let mut at = 0;
+        for i in r0..r1 {
+            let len = offsets[i + 1] - offsets[i];
+            f(i, &mut block[at..at + len]);
+            at += len;
         }
+    };
+    let fan = fan_out(work, rows);
+    if fan.threads() == 1 {
+        job((0, rows, out));
         return;
     }
-    let rows_per = rows.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut consumed = offsets[0];
-        let mut r0 = 0;
-        while r0 < rows {
-            let r1 = (r0 + rows_per).min(rows);
-            let (block, tail) = rest.split_at_mut(offsets[r1] - consumed);
-            consumed = offsets[r1];
-            rest = tail;
-            let f = &f;
-            s.spawn(move || {
-                enter_parallel_region();
-                let mut at = 0;
-                for i in r0..r1 {
-                    let len = offsets[i + 1] - offsets[i];
-                    f(i, &mut block[at..at + len]);
-                    at += len;
-                }
-            });
-            r0 = r1;
-        }
-    });
+    let rows_per = rows.div_ceil(fan.threads());
+    // Cut `out` into blocks of `rows_per` ragged rows: (first row, end
+    // row, the rows' contiguous slice).
+    let mut blocks = Vec::with_capacity(fan.threads());
+    let mut rest = out;
+    let mut r0 = 0;
+    while r0 < rows {
+        let r1 = (r0 + rows_per).min(rows);
+        let (block, tail) = rest.split_at_mut(offsets[r1] - offsets[r0]);
+        blocks.push((r0, r1, block));
+        rest = tail;
+        r0 = r1;
+    }
+    run_blocks(blocks, job);
 }
 
-/// Parallel map over indices `0..n` collecting into a `Vec`.
+/// Parallel map over indices `0..n` collecting into a `Vec`, on the
+/// threads [`fan_out`] grants for `work` (the flop-ish cost of all `n`
+/// calls together).
 ///
-/// Used for embarrassingly parallel per-point computations (posterior
-/// predictions over candidate sets, per-sub-region acquisition in
-/// BSP-EGO). Falls back to sequential execution for small `n`.
-pub fn par_map<T, F>(n: usize, min_chunk: usize, f: F) -> Vec<T>
+/// Used for embarrassingly parallel per-index computations (the MLL
+/// gradient's row chunks, multistart scoring blocks and polishes,
+/// BSP-EGO's per-cell acquisitions).
+pub fn par_map<T, F>(n: usize, work: usize, f: F) -> Vec<T>
 where
     T: Send + Default + Clone,
     F: Fn(usize) -> T + Sync,
 {
     let mut out = vec![T::default(); n];
-    let threads = num_threads().min(n.max(1));
-    if threads <= 1 || n <= min_chunk {
+    let fan = fan_out(work, n);
+    if fan.threads() == 1 {
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = f(i);
         }
         return out;
     }
-    let per = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (t, block) in out.chunks_mut(per).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                enter_parallel_region();
-                let base = t * per;
-                for (k, slot) in block.iter_mut().enumerate() {
-                    *slot = f(base + k);
-                }
-            });
+    let per = n.div_ceil(fan.threads());
+    run_blocks(out.chunks_mut(per).enumerate(), |(t, block)| {
+        for (k, slot) in block.iter_mut().enumerate() {
+            *slot = f(t * per + k);
         }
     });
     out
 }
 
 /// Dynamically scheduled parallel map over `0..n` with an **explicit**
-/// worker count: workers pull the next index from a shared atomic
-/// counter, so tasks of wildly different durations (e.g. whole
-/// optimization runs in the bench orchestrator) balance instead of
-/// being pinned to contiguous blocks as in [`par_map`].
+/// worker count, the caller being one of them: workers pull the next
+/// index from a shared atomic counter, so tasks of wildly different
+/// durations (e.g. whole optimization runs in the bench orchestrator)
+/// balance instead of being pinned to contiguous blocks as in
+/// [`par_map`].
+///
+/// The count is taken as given — the orchestrator's `--jobs N` keeps
+/// its N workers. Kernel callers size it from the budget instead, by
+/// passing [`FanOut::threads`] of a [`fan_out`] they hold across the
+/// call.
 ///
 /// The output is keyed by index — slot `i` always holds `f(i)` — so the
 /// result is independent of the worker count and of scheduling order.
-/// Workers run inside the parallel-region guard: nested kernel fan-outs
-/// (GP fits, multistarts) see `num_threads() == 1` and stay sequential,
-/// so an `N`-worker orchestration neither oversubscribes the machine
-/// nor perturbs the bit-exact per-run arithmetic.
+/// With two or more workers every worker runs inside the parallel
+/// region: nested kernel fan-outs (GP fits, multistarts) see
+/// `num_threads() == 1` and stay sequential, so an `N`-worker
+/// orchestration neither oversubscribes the machine nor perturbs the
+/// bit-exact per-run arithmetic.
 ///
 /// A panic in `f` propagates to the caller once the scope joins.
 pub fn par_map_workers<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
@@ -230,23 +398,13 @@ where
     let slots: Vec<std::sync::Mutex<Option<T>>> =
         (0..n).map(|_| std::sync::Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let slots = &slots;
-            let next = &next;
-            let f = &f;
-            s.spawn(move || {
-                enter_parallel_region();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let v = f(i);
-                    *slots[i].lock().expect("result slot poisoned") = Some(v);
-                }
-            });
+    run_blocks(0..workers, |_| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let v = f(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(v);
     });
     slots
         .into_iter()
@@ -261,96 +419,173 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Barrier};
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn row_chunks_cover_all_rows_sequential() {
-        let mut out = vec![0.0; 12];
-        for_each_row_chunk(&mut out, 3, 0, |i, row| {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = (i * 10 + j) as f64;
-            }
-        });
-        assert_eq!(out[0], 0.0);
-        assert_eq!(out[3], 10.0);
-        assert_eq!(out[11], 32.0);
+    /// Work large enough to pass the gate.
+    const BIG: usize = usize::MAX;
+
+    fn fill(i: usize, row: &mut [f64]) {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = (i * 100 + j) as f64;
+        }
     }
 
     #[test]
     fn row_chunks_parallel_path_matches_sequential() {
-        // Force the parallel path by passing huge work.
         let mut seq = vec![0.0; 64 * 8];
         let mut par = vec![0.0; 64 * 8];
-        let fill = |i: usize, row: &mut [f64]| {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = (i * 100 + j) as f64;
-            }
-        };
         for_each_row_chunk(&mut seq, 8, 0, fill);
-        for_each_row_chunk(&mut par, 8, usize::MAX, fill);
+        for_each_row_chunk(&mut par, 8, BIG, fill);
         assert_eq!(seq, par);
+        assert_eq!((seq[8], seq[63 * 8 + 7]), (100.0, 6307.0));
     }
 
     #[test]
     fn ragged_rows_cover_all_rows_both_paths() {
         // Triangular layout: row i owns i entries (row 0 is empty).
-        let rows = 9;
-        let mut offsets = vec![0usize];
-        for i in 0..rows {
-            offsets.push(offsets[i] + i);
-        }
+        let offsets: Vec<usize> = (0..10).map(|i| i * (i.max(1) - 1) / 2).collect();
         let total = *offsets.last().unwrap();
-        let fill = |i: usize, row: &mut [f64]| {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = (i * 100 + j) as f64;
-            }
-        };
         let mut seq = vec![-1.0; total];
         let mut par = vec![-1.0; total];
         for_each_ragged_row_chunk(&mut seq, &offsets, 0, fill);
-        for_each_ragged_row_chunk(&mut par, &offsets, usize::MAX, fill);
+        for_each_ragged_row_chunk(&mut par, &offsets, BIG, fill);
         assert_eq!(seq, par);
-        assert_eq!(seq[offsets[5]], 500.0);
-        assert_eq!(seq[offsets[6] - 1], 504.0);
+        assert_eq!((seq[offsets[5]], seq[offsets[6] - 1]), (500.0, 504.0));
         assert!(!seq.contains(&-1.0));
     }
 
     #[test]
     fn par_map_matches_serial() {
-        let a = par_map(100, 0, |i| i * i);
         let b: Vec<usize> = (0..100).map(|i| i * i).collect();
-        assert_eq!(a, b);
+        assert_eq!(par_map(100, 0, |i| i * i), b);
+        assert_eq!(par_map(100, BIG, |i| i * i), b);
+        assert!(par_map(0, BIG, |_| 1.0).is_empty());
     }
 
-    #[test]
-    fn par_map_empty() {
-        let a: Vec<f64> = par_map(0, 4, |_| 1.0);
-        assert!(a.is_empty());
-    }
-
-    /// The thread-count override is process-global; tests that touch it
-    /// serialize here so they can't observe each other's settings.
+    /// The thread-count override and the core budget are process-global;
+    /// tests that set the one or fill the other serialize here.
     static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Serialize, then run `body` under a thread cap of `cap`.
+    fn with_cap<R>(cap: usize, body: impl FnOnce() -> R) -> R {
+        let _g = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(cap);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        set_num_threads(0);
+        r.unwrap_or_else(|p| std::panic::resume_unwind(p))
+    }
+
+    /// Other tests of this crate fan out concurrently and hold cores for
+    /// a moment; a leaked claim never comes back. Wait for the count to
+    /// drain rather than reading it once.
+    fn drains_to_zero() -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while claimed_cores() != 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        claimed_cores() == 0
+    }
+
+    /// Whether every index of a `par_map` over `n` ran on this thread,
+    /// and the claimed-core counts its blocks saw.
+    fn on_caller_only(n: usize, work: usize) -> (bool, Vec<usize>) {
+        let me = std::thread::current().id();
+        let seen = par_map(n, work, |_| Some((std::thread::current().id(), claimed_cores())));
+        let seen: Vec<_> = seen.into_iter().map(Option::unwrap).collect();
+        (seen.iter().all(|s| s.0 == me), seen.iter().map(|s| s.1).collect())
+    }
 
     #[test]
     fn thread_override_roundtrip() {
-        let _g = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_num_threads(3);
-        assert_eq!(num_threads(), 3);
-        set_num_threads(0);
+        assert_eq!(with_cap(3, num_threads), 3);
         assert!(num_threads() >= 1);
     }
 
     #[test]
-    fn workers_report_single_thread_inside_region() {
-        let _g = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_num_threads(4);
-        // Force the parallel path; every worker must see itself as the
-        // only thread so nested fan-outs stay sequential.
-        let flags = par_map(64, 0, |_| (in_parallel_region(), num_threads()));
-        set_num_threads(0);
+    fn every_block_reports_a_single_thread_inside_the_region() {
+        let flags = with_cap(4, || par_map(64, BIG, |_| (in_parallel_region(), num_threads())));
         assert!(flags.iter().all(|&(inside, n)| inside && n == 1));
-        // The caller's thread is unaffected once the scope ends.
+        // The caller's thread leaves the region with its block; the
+        // serial path never enters it.
         assert!(!in_parallel_region());
+        assert!(!par_map(4, 0, |_| in_parallel_region()).iter().any(|&b| b));
+    }
+
+    #[test]
+    fn small_work_runs_on_the_caller() {
+        let before = fan_out_stats().serial_small;
+        assert!(with_cap(4, || on_caller_only(64, PAR_THRESHOLD - 1)).0);
+        assert!(fan_out_stats().serial_small > before);
+    }
+
+    #[test]
+    fn large_fan_out_runs_on_the_caller_when_every_core_is_claimed() {
+        let before = fan_out_stats().serial_busy;
+        let caller_only = with_cap(2, || {
+            // This thread and one parked thread hold both cores.
+            let (held_tx, held_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let holder = std::thread::spawn(move || {
+                let _core = claim_core();
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+            held_rx.recv().unwrap();
+            let _core = claim_core();
+            assert!(claimed_cores() >= 2);
+            let (caller_only, _) = on_caller_only(64, BIG);
+            release_tx.send(()).unwrap();
+            holder.join().unwrap();
+            caller_only
+        });
+        assert!(caller_only, "a helper ran with no free core");
+        assert!(fan_out_stats().serial_busy > before);
+        assert!(drains_to_zero());
+    }
+
+    #[test]
+    fn free_core_is_granted_and_released() {
+        let before = fan_out_stats().spawned;
+        // Other tests may hold the spare core for a moment; retry.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let counts = with_cap(2, || loop {
+            let (caller_only, counts) = on_caller_only(2, BIG);
+            if !caller_only {
+                break counts;
+            }
+            assert!(Instant::now() < deadline, "no helper was ever granted");
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        // The reservation precedes the spawn: both blocks see the caller
+        // and the helper counted.
+        assert!(counts.iter().all(|&c| c >= 2), "{counts:?}");
+        assert!(fan_out_stats().spawned > before);
+        assert!(drains_to_zero());
+    }
+
+    #[test]
+    fn claims_are_released_when_a_block_panics() {
+        for bad in [7, 0] {
+            // Index 0 is the caller's block, index 7 a helper's.
+            let caught = with_cap(2, || {
+                std::panic::catch_unwind(|| {
+                    par_map(8, BIG, |i| if i == bad { panic!("block {i} panics") } else { i })
+                })
+            });
+            assert!(caught.is_err());
+        }
+        assert!(drains_to_zero(), "a panicking fan-out leaked a core");
+        assert!(!in_parallel_region());
+        // This thread's claim flag was released too: a new claim counts.
+        assert!(claim_core().counted);
+    }
+
+    #[test]
+    fn nested_claims_count_once() {
+        let a = claim_core();
+        let b = claim_core();
+        assert!(a.counted && !b.counted);
     }
 
     #[test]
@@ -359,29 +594,31 @@ mod tests {
         for workers in [1, 2, 3, 8, 64] {
             assert_eq!(par_map_workers(37, workers, |i| i * i), expect, "workers={workers}");
         }
-        let empty: Vec<usize> = par_map_workers(0, 4, |i| i);
-        assert!(empty.is_empty());
+        assert!(par_map_workers(0, 4, |i| i).is_empty());
     }
 
     #[test]
-    fn par_map_workers_nested_fanouts_stay_sequential() {
-        let _g = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_num_threads(4);
-        let flags = par_map_workers(16, 4, |_| (in_parallel_region(), num_threads()));
-        set_num_threads(0);
+    fn par_map_workers_keeps_its_explicit_count_whatever_the_budget() {
+        // A cap of 1, held: the budget has nothing to give. Four tasks
+        // that each wait for all four pass only with four live workers.
+        let flags = with_cap(1, || {
+            let _core = claim_core();
+            let barrier = Barrier::new(4);
+            par_map_workers(4, 4, |_| {
+                barrier.wait();
+                (in_parallel_region(), num_threads())
+            })
+        });
+        // Nested fan-outs inside the workers stay sequential.
         assert!(flags.iter().all(|&(inside, n)| inside && n == 1));
         assert!(!in_parallel_region());
     }
 
     #[test]
     fn nested_par_map_degrades_to_serial_and_matches() {
-        let _g = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_num_threads(4);
-        let nested = par_map(8, 0, |i| {
-            let inner = par_map(16, 0, |j| (i * 16 + j) as f64);
-            inner.iter().sum::<f64>()
+        let nested = with_cap(4, || {
+            par_map(8, BIG, |i| par_map(16, BIG, |j| (i * 16 + j) as f64).iter().sum::<f64>())
         });
-        set_num_threads(0);
         let expect: Vec<f64> =
             (0..8).map(|i| (0..16).map(|j| (i * 16 + j) as f64).sum()).collect();
         assert_eq!(nested, expect);

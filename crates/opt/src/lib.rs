@@ -9,8 +9,6 @@
 //!
 //! - [`lbfgs`]: projected-gradient L-BFGS with box bounds and an Armijo
 //!   backtracking line search along the projected path,
-//! - [`neldermead`]: a derivative-free simplex fallback for non-smooth
-//!   objectives (used by tests and by ablations),
 //! - [`multistart`]: the restart driver seeding locals from Sobol points
 //!   plus caller-supplied warm starts.
 //!
@@ -19,7 +17,6 @@
 
 pub mod lbfgs;
 pub mod multistart;
-pub mod neldermead;
 
 /// A box-constrained domain `[lo_i, hi_i]^d`.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,6 +133,16 @@ pub trait GradObjective {
 /// The default implementation scores point by point, so any `Sync`
 /// gradient objective is a valid (if unbatched) `BatchObjective`.
 pub trait BatchObjective: GradObjective + Sync {
+    /// Flop-ish cost of one [`GradObjective::value_grad`] call, in the
+    /// units of `pbo_linalg::parallel::PAR_THRESHOLD`. The multistart
+    /// driver multiplies it by the evaluations a phase may spend to decide
+    /// whether fanning that phase out pays for a thread. The default,
+    /// `usize::MAX`, marks the cost as unknown: such objectives fan out
+    /// whenever a core is free.
+    fn eval_work(&self) -> usize {
+        usize::MAX
+    }
+
     /// Score `xs` (row-major, `xs.len() / dim()` points) into `out`,
     /// one value per point. Must agree with [`GradObjective::value`] up
     /// to batched-summation rounding (a few ulps).
@@ -154,6 +161,9 @@ where
     V: Fn(&[f64]) -> f64 + Sync,
     G: Fn(&[f64]) -> (f64, Vec<f64>) + Sync,
 {
+    fn eval_work(&self) -> usize {
+        self.eval_work
+    }
 }
 
 /// Wrap a pair of closures as a [`GradObjective`].
@@ -161,6 +171,7 @@ pub struct FnGradObjective<V, G> {
     dim: usize,
     value: V,
     value_grad: G,
+    eval_work: usize,
 }
 
 impl<V, G> FnGradObjective<V, G>
@@ -170,7 +181,14 @@ where
 {
     /// Build from `dim`, a value closure and a value+gradient closure.
     pub fn new(dim: usize, value: V, value_grad: G) -> Self {
-        FnGradObjective { dim, value, value_grad }
+        FnGradObjective { dim, value, value_grad, eval_work: usize::MAX }
+    }
+
+    /// Declare the flop-ish cost of one `value_grad` call
+    /// ([`BatchObjective::eval_work`]; unknown by default).
+    pub fn with_eval_work(mut self, eval_work: usize) -> Self {
+        self.eval_work = eval_work;
+        self
     }
 }
 

@@ -6,8 +6,10 @@
 //! the cheap objective value, top-k selection (plus caller warm starts),
 //! gradient-based polishing, best-of.
 //!
-//! Both phases fan out over `pbo_linalg::parallel` scoped threads while
-//! staying **bit-identical to the serial path for any thread count**:
+//! Both phases fan out over `pbo_linalg::parallel` scoped threads — when
+//! their work, priced by [`BatchObjective::eval_work`], passes the
+//! parallel gate and a core is free — while staying **bit-identical to
+//! the serial path for any thread count**:
 //!
 //! - raw scoring is batched in fixed [`SCORE_BLOCK`]-sized blocks, so the
 //!   per-block arithmetic (one `BatchObjective::value_batch` call each)
@@ -20,7 +22,6 @@
 //!   exact strict-`<`, earliest-wins rule of a serial left fold.
 
 use crate::lbfgs::{self, LbfgsConfig};
-use crate::neldermead::{self, NelderMeadConfig};
 use crate::{BatchObjective, Bounds, OptResult};
 use pbo_linalg::parallel;
 use pbo_sampling::sobol::Sobol;
@@ -83,7 +84,9 @@ fn draw_and_score<O: BatchObjective + ?Sized>(
     }
     let new_xs = &xs[base * dim..];
     let blocks = count.div_ceil(SCORE_BLOCK);
-    let scored: Vec<Vec<f64>> = parallel::par_map(blocks, 1, |b| {
+    // Work: one objective evaluation per candidate.
+    let work = count.saturating_mul(obj.eval_work());
+    let scored: Vec<Vec<f64>> = parallel::par_map(blocks, work, |b| {
         let lo = b * SCORE_BLOCK;
         let hi = ((b + 1) * SCORE_BLOCK).min(count);
         let mut out = vec![0.0; hi - lo];
@@ -174,6 +177,21 @@ fn reduce_best(results: Vec<Option<OptResult>>, evals: &mut usize, iters: &mut u
     best
 }
 
+/// Flop-ish work of one L-BFGS polish run to its iteration cap, one
+/// evaluation per iteration, on an objective costing `eval_work` per call.
+fn polish_work(lbfgs: &LbfgsConfig, eval_work: usize) -> usize {
+    lbfgs.max_iters.saturating_mul(eval_work)
+}
+
+/// Flop-ish work of a whole [`minimize_multistart`] under `cfg` on an
+/// objective costing `eval_work` per call: raw scoring plus every
+/// restart polished to its iteration cap. Callers that fan out whole
+/// multistarts (BSP-EGO's cells) gate on it.
+pub fn multistart_work(cfg: &MultistartConfig, eval_work: usize) -> usize {
+    let polishes = cfg.restarts.saturating_mul(polish_work(&cfg.lbfgs, eval_work));
+    cfg.raw_samples.saturating_mul(eval_work).saturating_add(polishes)
+}
+
 /// Minimize with Sobol raw sampling + L-BFGS polishing.
 ///
 /// `warm_starts` are always polished in addition to the raw top-k (the
@@ -193,7 +211,9 @@ pub fn minimize_multistart<O: BatchObjective + ?Sized>(
     let (starts, mut evals, shortfall) =
         select_starts(obj, bounds, warm_starts, cfg.restarts, cfg.raw_samples, cfg.seed);
 
-    let results: Vec<Option<OptResult>> = parallel::par_map(starts.len(), 1, |i| {
+    // Work: every polish may run to its iteration cap.
+    let work = starts.len().saturating_mul(polish_work(&cfg.lbfgs, obj.eval_work()));
+    let results: Vec<Option<OptResult>> = parallel::par_map(starts.len(), work, |i| {
         Some(lbfgs::minimize(obj, bounds, &starts[i], &cfg.lbfgs))
     });
     let mut total_iters = 0;
@@ -207,55 +227,6 @@ pub fn minimize_multistart<O: BatchObjective + ?Sized>(
     });
     out.evals = evals;
     out.iters = total_iters;
-    out.restart_shortfall = shortfall;
-    out
-}
-
-/// Derivative-free multistart (Nelder–Mead polishing); same raw-sample
-/// recipe for objectives without trustworthy gradients, with the same
-/// thread-count-invariant parallel fan-out and Sobol backfill.
-pub fn minimize_multistart_df(
-    f: &(dyn Fn(&[f64]) -> f64 + Sync),
-    bounds: &Bounds,
-    warm_starts: &[Vec<f64>],
-    restarts: usize,
-    raw_samples: usize,
-    seed: u64,
-    nm: &NelderMeadConfig,
-) -> OptResult {
-    struct DfObjective<'a> {
-        f: &'a (dyn Fn(&[f64]) -> f64 + Sync),
-        dim: usize,
-    }
-    impl crate::GradObjective for DfObjective<'_> {
-        fn dim(&self) -> usize {
-            self.dim
-        }
-        fn value(&self, x: &[f64]) -> f64 {
-            (self.f)(x)
-        }
-        fn value_grad(&self, _x: &[f64]) -> (f64, Vec<f64>) {
-            unreachable!("derivative-free multistart never requests gradients")
-        }
-    }
-    impl BatchObjective for DfObjective<'_> {}
-
-    let obj = DfObjective { f, dim: bounds.dim() };
-    let (starts, mut evals, shortfall) =
-        select_starts(&obj, bounds, warm_starts, restarts, raw_samples, seed);
-
-    let results: Vec<Option<OptResult>> =
-        parallel::par_map(starts.len(), 1, |i| Some(neldermead::minimize(f, bounds, &starts[i], nm)));
-    let mut total_iters = 0;
-    let best = reduce_best(results, &mut evals, &mut total_iters);
-
-    let mut out = best.unwrap_or_else(|| {
-        let center = bounds.center();
-        let value = f(&center);
-        evals += 1;
-        OptResult { x: center, value, evals, iters: 0, converged: false, restart_shortfall: 0 }
-    });
-    out.evals = evals;
     out.restart_shortfall = shortfall;
     out
 }
@@ -300,14 +271,6 @@ mod tests {
         let r = minimize_multistart(&obj, &b, &[vec![0.6]], &cfg);
         assert!((r.x[0] - 0.7).abs() < 1e-4);
         assert_eq!(r.restart_shortfall, 0);
-    }
-
-    #[test]
-    fn df_variant_matches_on_smooth_problem() {
-        let f = |x: &[f64]| (x[0] - 0.25).powi(2) + (x[1] - 0.75).powi(2);
-        let b = Bounds::unit(2);
-        let r = minimize_multistart_df(&f, &b, &[], 4, 32, 7, &NelderMeadConfig::default());
-        assert!((r.x[0] - 0.25).abs() < 1e-3 && (r.x[1] - 0.75).abs() < 1e-3);
     }
 
     #[test]
@@ -371,10 +334,6 @@ mod tests {
         assert_eq!(r.restart_shortfall, 4);
         assert!(r.value.is_nan());
         assert_eq!(r.x, b.center());
-        // The df variant historically panicked here; it must not.
-        let r = minimize_multistart_df(&(f as fn(&[f64]) -> f64), &b, &[], 4, 8, 1, &NelderMeadConfig::default());
-        assert_eq!(r.restart_shortfall, 4);
-        assert!(r.value.is_nan());
     }
 
     #[test]

@@ -41,6 +41,14 @@
 //! for the rest of the line, delays its ACK by up to ~40 ms — a stall
 //! on every request and reply sent as two writes.
 //!
+//! ## Cores
+//!
+//! A pool worker holds a core ([`pbo_core::parallel::claim_core`])
+//! while it runs [`dispatch`]. Kernel fan-outs inside a session step
+//! reserve helpers only from cores no one holds, so two sessions
+//! stepping at once run their kernels serially, and a lone session
+//! still gets the idle core (DESIGN.md §14).
+//!
 //! Scheduling can never perturb a session trajectory: every session
 //! transition runs under that session's own lock in the registry and
 //! depends only on the session's journal — which worker ran it, and
@@ -51,6 +59,7 @@ use crate::proto::{parse_request, write_line, ErrorBody, Request, RequestErrorKi
 use crate::registry::Registry;
 use pbo_core::json::{push_f64_lossless, push_str_literal};
 use pbo_core::observe::metrics::{Counter, Gauge};
+use pbo_core::parallel;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read};
@@ -423,7 +432,11 @@ fn serve_visit(pool: &Pool, conn: &mut Conn, draining: bool) -> Visit {
             if text.trim().is_empty() {
                 continue;
             }
+            // The worker holds a core while the engine steps, so kernel
+            // fan-outs only add helpers on cores no other worker uses.
+            let core = parallel::claim_core();
             let (response, stop) = dispatch(&pool.registry, &text);
+            drop(core);
             if write_reply(pool, conn, &response).is_err() {
                 return Visit::Close;
             }
@@ -656,7 +669,16 @@ pub fn dispatch(registry: &Registry, line: &str) -> (String, bool) {
                 out.push(':');
                 push_f64_lossless(&mut out, *value);
             }
-            out.push_str("}}");
+            let fan = parallel::fan_out_stats();
+            let _ = write!(
+                out,
+                "}},\"parallel\":{{\"cores\":{},\"claimed\":{},\"spawned\":{},\"serial_small\":{},\"serial_busy\":{}}}}}",
+                parallel::num_threads(),
+                parallel::claimed_cores(),
+                fan.spawned,
+                fan.serial_small,
+                fan.serial_busy
+            );
             out
         }),
         Request::Close { id } => registry.close(&id).map(|()| {
@@ -809,5 +831,10 @@ mod tests {
         let (resp, _) = dispatch(&reg, "{\"proto\":1,\"op\":\"server-status\"}");
         assert!(resp.contains("\"protos\":[1,2]"), "{resp}");
         assert!(resp.contains("\"gauges\":{"), "{resp}");
+        let v = parse(&resp).unwrap();
+        let fan = v.get("parallel").expect("fan-out counters next to the gauges");
+        for key in ["cores", "claimed", "spawned", "serial_small", "serial_busy"] {
+            assert!(fan.get(key).and_then(Json::as_u64).is_some(), "{key}: {resp}");
+        }
     }
 }

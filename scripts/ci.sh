@@ -31,6 +31,18 @@ echo "== determinism suite at 1 and 4 compute threads =="
 PBO_NUM_THREADS=1 cargo test -q --test determinism
 PBO_NUM_THREADS=4 cargo test -q --test determinism
 
+# The session server's pool workers hold a core while they dispatch, and
+# kernel fan-outs reserve helpers only from free cores. A cap of 4 on a
+# smaller host oversubscribes the budget; served trajectories must still
+# be byte-identical to in-process runs.
+echo "== session-server suite at a 4-thread core cap =="
+PBO_NUM_THREADS=4 cargo test -q --test session_server
+
+# The end-to-end benchmark is its own workspace, so the workspace suite
+# above never reaches its unit tests.
+echo "== e2ebench unit tests =="
+cargo test --release -q --manifest-path e2ebench/Cargo.toml
+
 if [[ "${1:-}" != "--quick" ]]; then
   # Seconds-scale smoke pass over the perf benches: catches bench-code
   # rot and the in-bench pre-PR equivalence guards without paying for a
