@@ -364,8 +364,8 @@ pub fn optimize_qei(
             let (v, g) = qei.value_grad_flat(gp, x);
             (-v, g.into_iter().map(|gi| -gi).collect())
         },
-    )
-    .with_eval_work(eval_work);
+        eval_work,
+    );
     let warm_flat: Vec<Vec<f64>> = warm_starts
         .iter()
         .map(|batch| batch.iter().flat_map(|p| p.iter().copied()).collect())

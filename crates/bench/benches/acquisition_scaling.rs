@@ -194,6 +194,7 @@ fn optimize_single_pre(
             let (v, g) = ei.value_grad(gp, x);
             (-v, g.into_iter().map(|gi| -gi).collect())
         },
+        pbo_acq::single::eval_work(gp),
     );
     let dim = bounds.dim();
     let mut sobol = Sobol::scrambled(dim, cfg.seed);

@@ -223,6 +223,8 @@ fn fit_pre(x: &Matrix, y: &[f64], cfg: &FitConfig, seeds: &mut SeedStream) -> f6
             Some((v, g)) => (-v, g.into_iter().map(|gi| -gi).collect()),
             None => (f64::INFINITY, vec![0.0; p.len()]),
         },
+        // One factorization plus the gradient contraction (≈ n³/2).
+        x.rows().pow(3) / 2,
     );
     let mut lo = vec![cfg.log_ls_bounds.0; d];
     let mut hi = vec![cfg.log_ls_bounds.1; d];

@@ -198,9 +198,8 @@ impl BatchStepper {
                     leaves.iter().map(|&l| tree.bounds_of(l).clone()).collect();
 
                 // One local EI maximization per cell, run concurrently
-                // when the cells' work passes the parallel gate and a
-                // core is free; the clock models q workers sharing the
-                // 2q sub-problems. The multistart inside each cell is
+                // when the cells' work passes the parallel gate; the
+                // clock models q workers sharing the 2q sub-problems. The multistart inside each cell is
                 // itself parallel-capable, but every block of a fan-out
                 // runs inside a parallel region (`pbo_linalg::parallel`),
                 // so the nested fan-out degrades to the serial schedule

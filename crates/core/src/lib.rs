@@ -57,7 +57,6 @@ pub mod session;
 pub mod stats;
 pub mod trust_region;
 
-/// The kernels' work gate and process-wide core budget
-/// (`pbo_linalg::parallel`), re-exported for the session server: its
-/// pool workers hold a core while they dispatch a request.
+/// The kernels' work gate (`pbo_linalg::parallel`), re-exported for the
+/// session server, whose `server-status` reply reports its counters.
 pub use pbo_linalg::parallel;

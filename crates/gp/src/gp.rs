@@ -541,8 +541,8 @@ pub(crate) fn banded_sq_colsums(v: &Matrix) -> Vec<f64> {
     let bands = n.div_ceil(PREDICT_BAND);
     // Work: one multiply-add per entry. The worker count only decides
     // scheduling; band partials are folded in band order below either way.
-    let fan = pbo_linalg::parallel::fan_out(n * q, bands);
-    let partials = pbo_linalg::parallel::par_map_workers(bands, fan.threads(), |b| {
+    let workers = pbo_linalg::parallel::fan_out(n * q, bands);
+    let partials = pbo_linalg::parallel::par_map_workers(bands, workers, |b| {
         let lo = b * PREDICT_BAND;
         let hi = (lo + PREDICT_BAND).min(n);
         let mut acc = vec![0.0; q];

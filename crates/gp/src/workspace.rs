@@ -473,8 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn mll_gradient_bits_do_not_depend_on_the_core_budget() {
-        use std::sync::{Arc, Barrier};
+    fn mll_gradient_bits_do_not_depend_on_the_thread_count() {
         // n = 300 puts the gradient contraction above the parallel gate.
         let (n, d) = (300, 4);
         assert!(n * n * n / 6 >= parallel::PAR_THRESHOLD);
@@ -490,36 +489,18 @@ mod tests {
         ];
         let mut ws = FitWorkspace::new();
         ws.prepare(&x);
-        let free = mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
-
-        // Exhaust the budget: this thread and `cap - 1` parked threads
-        // hold every core, so the contraction runs on this thread alone.
-        let cap = parallel::num_threads();
-        let held = Arc::new(Barrier::new(cap));
-        let release = Arc::new(Barrier::new(cap));
-        let holders: Vec<_> = (1..cap)
-            .map(|_| {
-                let (held, release) = (held.clone(), release.clone());
-                std::thread::spawn(move || {
-                    let _core = parallel::claim_core();
-                    held.wait();
-                    release.wait();
-                })
-            })
-            .collect();
-        let core = parallel::claim_core();
-        held.wait();
-        assert!(parallel::claimed_cores() >= cap);
-        let exhausted = mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
-        drop(core);
-        release.wait();
-        for h in holders {
-            h.join().unwrap();
-        }
-
-        assert_eq!(free.0.to_bits(), exhausted.0.to_bits());
+        // Only this test of the crate sets the process-global cap, and the
+        // cap decides scheduling only, so concurrent tests are unaffected.
+        let mut at = |threads| {
+            parallel::set_num_threads(threads);
+            let r = mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
+            parallel::set_num_threads(0);
+            r
+        };
+        let (serial, fanned) = (at(1), at(4));
+        assert_eq!(serial.0.to_bits(), fanned.0.to_bits());
         let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&free.1), bits(&exhausted.1));
+        assert_eq!(bits(&serial.1), bits(&fanned.1));
     }
 
     #[test]

@@ -782,9 +782,9 @@ fn blocked_factor_in_place(l: &mut Matrix) -> Result<()> {
 /// Fan `f(row_index, row)` out over the fixed-width rows of `out` in
 /// dynamically scheduled contiguous bands (several per worker, so the
 /// triangular cost gradient of the SYRK balances), via
-/// [`parallel::par_map_workers`], sized by the work gate and core budget
-/// of [`parallel::fan_out`]. Sequential when the work is below the
-/// crate's parallel threshold or no core is free; the per-row results
+/// [`parallel::par_map_workers`], sized by the work gate
+/// [`parallel::fan_out`]. Sequential when the work is below the crate's
+/// parallel threshold or one thread is available; the per-row results
 /// are identical either way.
 fn par_row_bands<F>(out: &mut [f64], width: usize, flops: usize, f: F)
 where
@@ -795,8 +795,7 @@ where
     }
     debug_assert_eq!(out.len() % width, 0);
     let rows = out.len() / width;
-    let fan = parallel::fan_out(flops, rows);
-    let workers = fan.threads();
+    let workers = parallel::fan_out(flops, rows);
     if workers == 1 {
         for (r, row) in out.chunks_mut(width).enumerate() {
             f(r, row);

@@ -1,5 +1,4 @@
-//! Scoped-thread fan-outs for the dense kernels, under one work gate and
-//! one process-wide core budget.
+//! Scoped-thread fan-outs for the dense kernels, behind one work gate.
 //!
 //! The workspace deliberately avoids a global thread pool: the BO engine
 //! owns its own worker pool for simulator evaluations, and linear-algebra
@@ -7,35 +6,24 @@
 //! give data-race-free borrowing of the output buffer without `Arc`.
 //!
 //! Every kernel fan-out passes a `work` estimate in flop-ish units (one
-//! multiply-add ≈ 1) to [`fan_out`], which grants helper threads only
-//! when both hold:
-//!
-//! 1. **The work pays for a thread.** Below [`PAR_THRESHOLD`] the
-//!    fan-out runs serially on the caller: a spawn plus join costs tens
-//!    of microseconds, and a fresh helper rebuilds its `thread_local!`
-//!    workspaces.
-//! 2. **A core is free.** One atomic count tracks the compute threads
-//!    holding a core, capped by [`num_threads`] — so [`set_num_threads`]
-//!    and `PBO_NUM_THREADS` cap the process, not each fan-out. A fan-out
-//!    counts its caller, reserves helpers only from the free cores and
-//!    releases them on return and on unwind. Long-lived compute threads
-//!    hold a core through [`claim_core`]: the server's pool workers do
-//!    while they dispatch, so two sessions stepping at once run their
-//!    kernels serially and a lone session still gets the idle core.
+//! multiply-add ≈ 1) to [`fan_out`]. Below [`PAR_THRESHOLD`] it runs
+//! serially on the caller: a spawn plus join costs tens of microseconds,
+//! and a fresh helper rebuilds its `thread_local!` workspaces. Above it,
+//! the fan-out runs on up to [`num_threads`] threads, the caller's
+//! included.
 //!
 //! The caller runs the first block and each helper one more. Inside a
 //! block [`num_threads`] is 1, so nested fan-outs stay serial. Helpers
 //! decide only *which thread* computes a row or index, never *what* it
 //! computes, and call sites fold fixed grids in grid order: results are
-//! bitwise identical whatever the budget grants.
+//! bitwise identical whatever the thread count.
 //!
 //! [`fan_out_stats`] counts each gated fan-out's outcome: `spawned`
 //! (got a helper), `serial_small` (work below the gate, or one item) or
-//! `serial_busy` (no core free: every core held, a cap of 1, or nested
-//! inside another fan-out).
+//! `serial_capped` (the cap allows one thread: a cap of 1, or nested
+//! inside another fan-out's block).
 
 use std::cell::Cell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -46,15 +34,10 @@ pub const PAR_THRESHOLD: usize = 1 << 21;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Compute threads currently holding a core: claimed callers plus
-/// reserved helpers. It and the counters below use `Relaxed` ordering:
-/// they publish no other data (helpers borrow their inputs through
-/// `std::thread::scope`, which synchronizes on its own).
-static CLAIMED: AtomicUsize = AtomicUsize::new(0);
-
+/// Fan-out outcome counters. `Relaxed`: they publish no other data.
 static SPAWNED: AtomicU64 = AtomicU64::new(0);
 static SERIAL_SMALL: AtomicU64 = AtomicU64::new(0);
-static SERIAL_BUSY: AtomicU64 = AtomicU64::new(0);
+static SERIAL_CAPPED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Set while a thread runs a block of a fan-out (the caller's block
@@ -62,8 +45,6 @@ thread_local! {
     /// nested fan-outs (e.g. a multistart polished inside BSP-EGO's
     /// per-cell `par_map`) run serially instead of oversubscribing.
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
-    /// Set while this thread is counted in [`CLAIMED`] by a [`CoreClaim`].
-    static HOLDS_CORE: Cell<bool> = const { Cell::new(false) };
 }
 
 /// True when called from inside a block of a fan-out run by one of the
@@ -104,8 +85,7 @@ fn env_threads() -> usize {
     })
 }
 
-/// The process's compute-thread cap: the most cores the budget hands
-/// out at once.
+/// The most threads one fan-out runs on, its caller included.
 ///
 /// Resolution order: nested-region guard (always 1 inside a fan-out),
 /// then [`set_num_threads`], then the `PBO_NUM_THREADS` environment
@@ -125,91 +105,19 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Compute threads currently holding a core (claims plus reserved
-/// helpers). 0 whenever no fan-out runs and no [`CoreClaim`] is held.
-pub fn claimed_cores() -> usize {
-    CLAIMED.load(Ordering::Relaxed)
-}
-
-/// A core held by the current thread until dropped. Not `Send`: the
-/// claim belongs to the thread that made it.
-pub struct CoreClaim {
-    counted: bool,
-    _thread_bound: PhantomData<*const ()>,
-}
-
-/// Count the current thread as a compute thread holding a core, until
-/// the returned claim drops.
-///
-/// A thread already holding a claim, or running inside a fan-out (whose
-/// core is already counted), gets a claim that counts nothing. Claims
-/// always succeed: the caller runs whatever the budget says, and the
-/// count only decides how many *helpers* later fan-outs may add.
-pub fn claim_core() -> CoreClaim {
-    let counted = !in_parallel_region() && !HOLDS_CORE.with(|h| h.replace(true));
-    if counted {
-        CLAIMED.fetch_add(1, Ordering::Relaxed);
-    }
-    CoreClaim { counted, _thread_bound: PhantomData }
-}
-
-impl Drop for CoreClaim {
-    fn drop(&mut self) {
-        if self.counted {
-            CLAIMED.fetch_sub(1, Ordering::Relaxed);
-            HOLDS_CORE.with(|h| h.set(false));
-        }
-    }
-}
-
-/// One gated fan-out's reservation: the caller's core plus
-/// [`threads`](FanOut::threads)` - 1` helpers, released on drop.
-pub struct FanOut {
-    helpers: usize,
-    _caller: Option<CoreClaim>,
-}
-
-impl FanOut {
-    /// Threads the fan-out may run on, the caller included (≥ 1).
-    pub fn threads(&self) -> usize {
-        self.helpers + 1
-    }
-}
-
-impl Drop for FanOut {
-    fn drop(&mut self) {
-        if self.helpers > 0 {
-            CLAIMED.fetch_sub(self.helpers, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The work gate and the core budget, in one call: how many threads a
-/// fan-out of `items` independent items costing `work` flop-ish units
-/// in total may run on. Hold the returned [`FanOut`] until every helper
-/// has joined.
-///
-/// Serial (`threads() == 1`) when `work < PAR_THRESHOLD`, when there are
-/// fewer than two items, or when no core is free. Otherwise the caller
-/// is counted and up to `min(num_threads(), items) - 1` helpers are
-/// reserved from the free cores.
-pub fn fan_out(work: usize, items: usize) -> FanOut {
+/// The work gate: how many threads (≥ 1, the caller included) a fan-out
+/// of `items` independent items costing `work` flop-ish units in total
+/// runs on. Serial when `work < PAR_THRESHOLD` or there are fewer than
+/// two items; otherwise `min(num_threads(), items)`.
+pub fn fan_out(work: usize, items: usize) -> usize {
     if work < PAR_THRESHOLD || items < 2 {
         SERIAL_SMALL.fetch_add(1, Ordering::Relaxed);
-        return FanOut { helpers: 0, _caller: None };
+        return 1;
     }
-    let cap = num_threads();
-    let want = cap.min(items) - 1;
-    let caller = claim_core();
-    let reserve = |held: usize| want.min(cap.saturating_sub(held));
-    let helpers = CLAIMED
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
-            (reserve(held) > 0).then(|| held + reserve(held))
-        })
-        .map_or(0, reserve);
-    let outcome = if helpers == 0 { &SERIAL_BUSY } else { &SPAWNED };
+    let threads = num_threads().min(items);
+    let outcome = if threads == 1 { &SERIAL_CAPPED } else { &SPAWNED };
     outcome.fetch_add(1, Ordering::Relaxed);
-    FanOut { helpers, _caller: Some(caller) }
+    threads
 }
 
 /// Snapshot of the fan-out counters (see the module docs).
@@ -219,8 +127,9 @@ pub struct FanOutStats {
     pub spawned: u64,
     /// Fan-outs kept serial because their work was below the gate.
     pub serial_small: u64,
-    /// Fan-outs kept serial because no core was free.
-    pub serial_busy: u64,
+    /// Fan-outs above the gate kept serial because the cap allows one
+    /// thread (a cap of 1, or nested inside another fan-out's block).
+    pub serial_capped: u64,
 }
 
 /// Read the process-wide fan-out counters.
@@ -228,7 +137,7 @@ pub fn fan_out_stats() -> FanOutStats {
     FanOutStats {
         spawned: SPAWNED.load(Ordering::Relaxed),
         serial_small: SERIAL_SMALL.load(Ordering::Relaxed),
-        serial_busy: SERIAL_BUSY.load(Ordering::Relaxed),
+        serial_capped: SERIAL_CAPPED.load(Ordering::Relaxed),
     }
 }
 
@@ -270,14 +179,14 @@ where
     }
     debug_assert_eq!(out.len() % width, 0);
     let rows = out.len() / width;
-    let fan = fan_out(work, rows);
-    if fan.threads() == 1 {
+    let threads = fan_out(work, rows);
+    if threads == 1 {
         for (i, row) in out.chunks_mut(width).enumerate() {
             f(i, row);
         }
         return;
     }
-    let rows_per = rows.div_ceil(fan.threads());
+    let rows_per = rows.div_ceil(threads);
     run_blocks(out.chunks_mut(rows_per * width).enumerate(), |(t, block)| {
         for (k, row) in block.chunks_mut(width).enumerate() {
             f(t * rows_per + k, row);
@@ -312,15 +221,15 @@ where
             at += len;
         }
     };
-    let fan = fan_out(work, rows);
-    if fan.threads() == 1 {
+    let threads = fan_out(work, rows);
+    if threads == 1 {
         job((0, rows, out));
         return;
     }
-    let rows_per = rows.div_ceil(fan.threads());
+    let rows_per = rows.div_ceil(threads);
     // Cut `out` into blocks of `rows_per` ragged rows: (first row, end
     // row, the rows' contiguous slice).
-    let mut blocks = Vec::with_capacity(fan.threads());
+    let mut blocks = Vec::with_capacity(threads);
     let mut rest = out;
     let mut r0 = 0;
     while r0 < rows {
@@ -346,14 +255,14 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let mut out = vec![T::default(); n];
-    let fan = fan_out(work, n);
-    if fan.threads() == 1 {
+    let threads = fan_out(work, n);
+    if threads == 1 {
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = f(i);
         }
         return out;
     }
-    let per = n.div_ceil(fan.threads());
+    let per = n.div_ceil(threads);
     run_blocks(out.chunks_mut(per).enumerate(), |(t, block)| {
         for (k, slot) in block.iter_mut().enumerate() {
             *slot = f(t * per + k);
@@ -370,9 +279,7 @@ where
 /// [`par_map`].
 ///
 /// The count is taken as given — the orchestrator's `--jobs N` keeps
-/// its N workers. Kernel callers size it from the budget instead, by
-/// passing [`FanOut::threads`] of a [`fan_out`] they hold across the
-/// call.
+/// its N workers. Kernel callers size it with [`fan_out`] instead.
 ///
 /// The output is keyed by index — slot `i` always holds `f(i)` — so the
 /// result is independent of the worker count and of scheduling order.
@@ -419,8 +326,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{mpsc, Barrier};
-    use std::time::{Duration, Instant};
+    use std::sync::Barrier;
 
     /// Work large enough to pass the gate.
     const BIG: usize = usize::MAX;
@@ -463,8 +369,8 @@ mod tests {
         assert!(par_map(0, BIG, |_| 1.0).is_empty());
     }
 
-    /// The thread-count override and the core budget are process-global;
-    /// tests that set the one or fill the other serialize here.
+    /// The thread-count override is process-global; tests that set it
+    /// serialize here.
     static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// Serialize, then run `body` under a thread cap of `cap`.
@@ -476,24 +382,11 @@ mod tests {
         r.unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 
-    /// Other tests of this crate fan out concurrently and hold cores for
-    /// a moment; a leaked claim never comes back. Wait for the count to
-    /// drain rather than reading it once.
-    fn drains_to_zero() -> bool {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while claimed_cores() != 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        claimed_cores() == 0
-    }
-
-    /// Whether every index of a `par_map` over `n` ran on this thread,
-    /// and the claimed-core counts its blocks saw.
-    fn on_caller_only(n: usize, work: usize) -> (bool, Vec<usize>) {
+    /// Whether every index of a `par_map` over `n` costing `work` ran on
+    /// this thread.
+    fn on_caller_only(n: usize, work: usize) -> bool {
         let me = std::thread::current().id();
-        let seen = par_map(n, work, |_| Some((std::thread::current().id(), claimed_cores())));
-        let seen: Vec<_> = seen.into_iter().map(Option::unwrap).collect();
-        (seen.iter().all(|s| s.0 == me), seen.iter().map(|s| s.1).collect())
+        par_map(n, work, |_| Some(std::thread::current().id())).iter().all(|t| *t == Some(me))
     }
 
     #[test]
@@ -515,57 +408,24 @@ mod tests {
     #[test]
     fn small_work_runs_on_the_caller() {
         let before = fan_out_stats().serial_small;
-        assert!(with_cap(4, || on_caller_only(64, PAR_THRESHOLD - 1)).0);
+        assert!(with_cap(4, || on_caller_only(64, PAR_THRESHOLD - 1)));
         assert!(fan_out_stats().serial_small > before);
     }
 
     #[test]
-    fn large_fan_out_runs_on_the_caller_when_every_core_is_claimed() {
-        let before = fan_out_stats().serial_busy;
-        let caller_only = with_cap(2, || {
-            // This thread and one parked thread hold both cores.
-            let (held_tx, held_rx) = mpsc::channel();
-            let (release_tx, release_rx) = mpsc::channel::<()>();
-            let holder = std::thread::spawn(move || {
-                let _core = claim_core();
-                held_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
-            });
-            held_rx.recv().unwrap();
-            let _core = claim_core();
-            assert!(claimed_cores() >= 2);
-            let (caller_only, _) = on_caller_only(64, BIG);
-            release_tx.send(()).unwrap();
-            holder.join().unwrap();
-            caller_only
-        });
-        assert!(caller_only, "a helper ran with no free core");
-        assert!(fan_out_stats().serial_busy > before);
-        assert!(drains_to_zero());
+    fn large_work_spawns_up_to_the_cap() {
+        let before = fan_out_stats();
+        let (spread, capped) = with_cap(2, || (!on_caller_only(64, BIG), fan_out(BIG, 64)));
+        assert!(spread, "work above the gate ran on the caller only");
+        assert_eq!(capped, 2);
+        assert!(fan_out_stats().spawned >= before.spawned + 2);
+        // A cap of 1 keeps it on the caller and counts why.
+        assert!(with_cap(1, || on_caller_only(64, BIG)));
+        assert!(fan_out_stats().serial_capped > before.serial_capped);
     }
 
     #[test]
-    fn free_core_is_granted_and_released() {
-        let before = fan_out_stats().spawned;
-        // Other tests may hold the spare core for a moment; retry.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let counts = with_cap(2, || loop {
-            let (caller_only, counts) = on_caller_only(2, BIG);
-            if !caller_only {
-                break counts;
-            }
-            assert!(Instant::now() < deadline, "no helper was ever granted");
-            std::thread::sleep(Duration::from_millis(1));
-        });
-        // The reservation precedes the spawn: both blocks see the caller
-        // and the helper counted.
-        assert!(counts.iter().all(|&c| c >= 2), "{counts:?}");
-        assert!(fan_out_stats().spawned > before);
-        assert!(drains_to_zero());
-    }
-
-    #[test]
-    fn claims_are_released_when_a_block_panics() {
+    fn a_panicking_block_leaves_the_region() {
         for bad in [7, 0] {
             // Index 0 is the caller's block, index 7 a helper's.
             let caught = with_cap(2, || {
@@ -574,18 +434,8 @@ mod tests {
                 })
             });
             assert!(caught.is_err());
+            assert!(!in_parallel_region());
         }
-        assert!(drains_to_zero(), "a panicking fan-out leaked a core");
-        assert!(!in_parallel_region());
-        // This thread's claim flag was released too: a new claim counts.
-        assert!(claim_core().counted);
-    }
-
-    #[test]
-    fn nested_claims_count_once() {
-        let a = claim_core();
-        let b = claim_core();
-        assert!(a.counted && !b.counted);
     }
 
     #[test]
@@ -598,11 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_workers_keeps_its_explicit_count_whatever_the_budget() {
-        // A cap of 1, held: the budget has nothing to give. Four tasks
-        // that each wait for all four pass only with four live workers.
+    fn par_map_workers_keeps_its_explicit_count_whatever_the_cap() {
+        // A cap of 1: four tasks that each wait for all four pass only
+        // with four live workers.
         let flags = with_cap(1, || {
-            let _core = claim_core();
             let barrier = Barrier::new(4);
             par_map_workers(4, 4, |_| {
                 barrier.wait();

@@ -297,6 +297,7 @@ mod tests {
                     .collect();
                 (f, g)
             },
+            3 * dim,
         )
     }
 
@@ -318,6 +319,7 @@ mod tests {
             1,
             |x: &[f64]| (x[0] - 5.0).powi(2),
             |x: &[f64]| ((x[0] - 5.0).powi(2), vec![2.0 * (x[0] - 5.0)]),
+            1,
         );
         let b = Bounds::cube(1, 0.0, 1.0);
         let r = minimize(&obj, &b, &[0.2], &LbfgsConfig::default());
@@ -336,7 +338,7 @@ mod tests {
                 200.0 * (x[1] - x[0] * x[0]),
             ];
             (rb(x), g)
-        });
+        }, 10);
         let b = Bounds::cube(2, -5.0, 10.0);
         let cfg = LbfgsConfig { max_iters: 500, ..LbfgsConfig::default() };
         let r = minimize(&obj, &b, &[-1.2, 1.0], &cfg);
@@ -350,6 +352,7 @@ mod tests {
             1,
             |_: &[f64]| f64::NAN,
             |_: &[f64]| (f64::NAN, vec![f64::NAN]),
+            1,
         );
         let b = Bounds::unit(1);
         let r = minimize(&obj, &b, &[0.5], &LbfgsConfig::default());

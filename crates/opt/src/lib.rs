@@ -136,12 +136,9 @@ pub trait BatchObjective: GradObjective + Sync {
     /// Flop-ish cost of one [`GradObjective::value_grad`] call, in the
     /// units of `pbo_linalg::parallel::PAR_THRESHOLD`. The multistart
     /// driver multiplies it by the evaluations a phase may spend to decide
-    /// whether fanning that phase out pays for a thread. The default,
-    /// `usize::MAX`, marks the cost as unknown: such objectives fan out
-    /// whenever a core is free.
-    fn eval_work(&self) -> usize {
-        usize::MAX
-    }
+    /// whether fanning that phase out pays for a thread. Every objective
+    /// prices itself: there is no "unknown" that bypasses the gate.
+    fn eval_work(&self) -> usize;
 
     /// Score `xs` (row-major, `xs.len() / dim()` points) into `out`,
     /// one value per point. Must agree with [`GradObjective::value`] up
@@ -179,16 +176,11 @@ where
     V: Fn(&[f64]) -> f64,
     G: Fn(&[f64]) -> (f64, Vec<f64>),
 {
-    /// Build from `dim`, a value closure and a value+gradient closure.
-    pub fn new(dim: usize, value: V, value_grad: G) -> Self {
-        FnGradObjective { dim, value, value_grad, eval_work: usize::MAX }
-    }
-
-    /// Declare the flop-ish cost of one `value_grad` call
-    /// ([`BatchObjective::eval_work`]; unknown by default).
-    pub fn with_eval_work(mut self, eval_work: usize) -> Self {
-        self.eval_work = eval_work;
-        self
+    /// Build from `dim`, a value closure, a value+gradient closure and
+    /// the flop-ish cost of one `value_grad` call
+    /// ([`BatchObjective::eval_work`]).
+    pub fn new(dim: usize, value: V, value_grad: G, eval_work: usize) -> Self {
+        FnGradObjective { dim, value, value_grad, eval_work }
     }
 }
 

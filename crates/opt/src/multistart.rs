@@ -8,8 +8,8 @@
 //!
 //! Both phases fan out over `pbo_linalg::parallel` scoped threads — when
 //! their work, priced by [`BatchObjective::eval_work`], passes the
-//! parallel gate and a core is free — while staying **bit-identical to
-//! the serial path for any thread count**:
+//! parallel gate — while staying **bit-identical to the serial path for
+//! any thread count**:
 //!
 //! - raw scoring is batched in fixed [`SCORE_BLOCK`]-sized blocks, so the
 //!   per-block arithmetic (one `BatchObjective::value_batch` call each)
@@ -238,6 +238,7 @@ mod tests {
     use crate::GradObjective;
 
     /// Two-basin function: local minimum 0.1 at x=-0.5, global 0 at x=0.7.
+    /// Priced at the parallel gate per call, so both phases fan out.
     fn two_basins() -> impl BatchObjective {
         let f = |x: &[f64]| {
             let a = (x[0] + 0.5).powi(2) + 0.1;
@@ -249,7 +250,7 @@ mod tests {
             let b = 4.0 * (x[0] - 0.7).powi(2);
             let g = if a < b { 2.0 * (x[0] + 0.5) } else { 8.0 * (x[0] - 0.7) };
             (a.min(b), vec![g])
-        })
+        }, pbo_linalg::parallel::PAR_THRESHOLD)
     }
 
     #[test]
@@ -312,7 +313,7 @@ mod tests {
                 (x[0] + 0.25).powi(2)
             }
         };
-        let obj = FnGradObjective::new(1, f, move |x: &[f64]| (f(x), vec![2.0 * (x[0] + 0.25)]));
+        let obj = FnGradObjective::new(1, f, move |x: &[f64]| (f(x), vec![2.0 * (x[0] + 0.25)]), 1);
         let b = Bounds::cube(1, -1.0, 2.0);
         let cfg = MultistartConfig { raw_samples: 16, restarts: 8, seed: 3, ..Default::default() };
         let r = minimize_multistart(&obj, &b, &[], &cfg);
@@ -327,7 +328,7 @@ mod tests {
         // Everything is NaN: the pool can never fill. The driver must
         // report the full shortfall and fall back to the box center.
         let f = |_: &[f64]| f64::NAN;
-        let obj = FnGradObjective::new(1, f, move |x: &[f64]| (f(x), vec![0.0]));
+        let obj = FnGradObjective::new(1, f, move |x: &[f64]| (f(x), vec![0.0]), 1);
         let b = Bounds::cube(1, -1.0, 1.0);
         let cfg = MultistartConfig { raw_samples: 8, restarts: 4, seed: 1, ..Default::default() };
         let r = minimize_multistart(&obj, &b, &[], &cfg);
@@ -355,6 +356,9 @@ mod tests {
             }
         }
         impl BatchObjective for CountingBatch {
+            fn eval_work(&self) -> usize {
+                1
+            }
             fn value_batch(&self, xs: &[f64], out: &mut [f64]) {
                 self.batch_calls.fetch_add(1, Ordering::Relaxed);
                 self.points_scored.fetch_add(out.len(), Ordering::Relaxed);

@@ -13,6 +13,7 @@
 //! - [`lhs`]: Latin hypercube designs for the initial sampling plan
 //!   (`16 x n_batch` points, Table 2 of the paper).
 
+pub mod halton;
 pub mod lhs;
 pub mod normal;
 pub mod seed;

@@ -41,14 +41,6 @@
 //! for the rest of the line, delays its ACK by up to ~40 ms — a stall
 //! on every request and reply sent as two writes.
 //!
-//! ## Cores
-//!
-//! A pool worker holds a core ([`pbo_core::parallel::claim_core`])
-//! while it runs [`dispatch`]. Kernel fan-outs inside a session step
-//! reserve helpers only from cores no one holds, so two sessions
-//! stepping at once run their kernels serially, and a lone session
-//! still gets the idle core (DESIGN.md §14).
-//!
 //! Scheduling can never perturb a session trajectory: every session
 //! transition runs under that session's own lock in the registry and
 //! depends only on the session's journal — which worker ran it, and
@@ -432,11 +424,7 @@ fn serve_visit(pool: &Pool, conn: &mut Conn, draining: bool) -> Visit {
             if text.trim().is_empty() {
                 continue;
             }
-            // The worker holds a core while the engine steps, so kernel
-            // fan-outs only add helpers on cores no other worker uses.
-            let core = parallel::claim_core();
             let (response, stop) = dispatch(&pool.registry, &text);
-            drop(core);
             if write_reply(pool, conn, &response).is_err() {
                 return Visit::Close;
             }
@@ -672,12 +660,11 @@ pub fn dispatch(registry: &Registry, line: &str) -> (String, bool) {
             let fan = parallel::fan_out_stats();
             let _ = write!(
                 out,
-                "}},\"parallel\":{{\"cores\":{},\"claimed\":{},\"spawned\":{},\"serial_small\":{},\"serial_busy\":{}}}}}",
+                "}},\"parallel\":{{\"threads\":{},\"spawned\":{},\"serial_small\":{},\"serial_capped\":{}}}}}",
                 parallel::num_threads(),
-                parallel::claimed_cores(),
                 fan.spawned,
                 fan.serial_small,
-                fan.serial_busy
+                fan.serial_capped
             );
             out
         }),
@@ -833,7 +820,7 @@ mod tests {
         assert!(resp.contains("\"gauges\":{"), "{resp}");
         let v = parse(&resp).unwrap();
         let fan = v.get("parallel").expect("fan-out counters next to the gauges");
-        for key in ["cores", "claimed", "spawned", "serial_small", "serial_busy"] {
+        for key in ["threads", "spawned", "serial_small", "serial_capped"] {
             assert!(fan.get(key).and_then(Json::as_u64).is_some(), "{key}: {resp}");
         }
     }

@@ -31,11 +31,10 @@ echo "== determinism suite at 1 and 4 compute threads =="
 PBO_NUM_THREADS=1 cargo test -q --test determinism
 PBO_NUM_THREADS=4 cargo test -q --test determinism
 
-# The session server's pool workers hold a core while they dispatch, and
-# kernel fan-outs reserve helpers only from free cores. A cap of 4 on a
-# smaller host oversubscribes the budget; served trajectories must still
-# be byte-identical to in-process runs.
-echo "== session-server suite at a 4-thread core cap =="
+# Concurrent session steps whose kernel fan-outs run 4 threads each
+# oversubscribe a smaller host; served trajectories must still be
+# byte-identical to in-process runs.
+echo "== session-server suite at 4 compute threads =="
 PBO_NUM_THREADS=4 cargo test -q --test session_server
 
 # The end-to-end benchmark is its own workspace, so the workspace suite

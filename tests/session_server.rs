@@ -564,7 +564,7 @@ fn nan_design_values_are_dropped_like_in_process_doe_faults() {
 use pbo_server::server::ServerConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A raw socket speaking the wire protocol by hand, for offender
 /// scenarios the polite [`Client`] cannot express (half-sent requests,
@@ -845,8 +845,10 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
     assert_eq!(counter(&status, "server.sessions.created"), 65);
     assert_eq!(gauge(&status, "server.pool.workers"), 4.0);
 
+    // The soak's small session steps kept their kernels on the worker.
     let fan = status.get("parallel").expect("server-status reports the fan-out counters");
-    assert!(fan.get("spawned").and_then(pbo::core::json::Json::as_u64).is_some(), "{fan:?}");
+    let small = fan.get("serial_small").and_then(pbo::core::json::Json::as_u64);
+    assert!(small.is_some_and(|n| n > 0), "{fan:?}");
 
     offender.shutdown().unwrap();
     handle.join().unwrap();
@@ -854,23 +856,6 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
     // The drain closed the parked silent connection too.
     let mut rest = String::new();
     assert_eq!(idle_reader.read_to_string(&mut rest).unwrap(), 0, "drain must close idle conns");
-
-    // Every core a pool worker or a kernel fan-out held came back.
-    assert!(cores_drain_to_zero(), "a pool worker or a fan-out leaked a core");
-}
-
-/// True once no thread holds a core. Other tests of this binary fan out
-/// concurrently and hold cores for a moment; a leaked claim never comes
-/// back, so wait for the count to drain rather than reading it once.
-fn cores_drain_to_zero() -> bool {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while pbo::linalg::parallel::claimed_cores() != 0 {
-        if Instant::now() > deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    true
 }
 
 /// Latency regression — a served round trip costs its work, not a
